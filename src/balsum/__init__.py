@@ -20,6 +20,7 @@ from .laurent import (
     LaurentPoly,
     verify_even_power_identity,
     verify_odd_power_identity,
+    verify_power_sum_formula,
     verify_subsequence_recurrence,
 )
 from .linearize import LinearForm, linearize, linearize_even, linearize_odd
@@ -84,5 +85,6 @@ __all__ = [
     "subsequence_gf_check",
     "verify_even_power_identity",
     "verify_odd_power_identity",
+    "verify_power_sum_formula",
     "verify_subsequence_recurrence",
 ]

@@ -62,14 +62,6 @@ def as_integer(value: Fraction | int, what: str = "result") -> int:
     return q.numerator
 
 
-def exact_div(num: int, den: int, what: str = "result") -> int:
-    """Integer division that must leave no remainder; hard error otherwise."""
-    quot, rem = divmod(num, den)
-    if rem != 0:
-        raise InexactResultError(f"{what}: {num} is not divisible by {den}")
-    return quot
-
-
 @dataclass(frozen=True)
 class QuadElem:
     """An exact element a + b*sqrt(2) of Q(sqrt 2).

@@ -1,24 +1,27 @@
 """Laurent polynomials over Q(sqrt 2) and mechanical identity verification.
 
 Every identity this library relies on is, after the substitution
-X = ALPHA**n (or X = ALPHA**(k*m)), a polynomial identity in X with negative
-exponents allowed: BETA being the inverse of ALPHA turns its powers into
-negative powers of X.  A :class:`LaurentPoly` is a finitely supported map
-from integer exponents to :class:`QuadElem` coefficients, so checking an
-identity for all n at once reduces to expanding both sides exactly and
-testing for the zero polynomial.
+X = ALPHA**n, a polynomial identity in X with negative exponents allowed:
+BETA being the inverse of ALPHA turns its powers into negative powers of X.
+:func:`encode` is the one map from balancing numbers at affine indices to
+such a :class:`LaurentPoly`, a finitely supported map from integer exponents
+to :class:`QuadElem` coefficients, so checking an identity for all n at once
+reduces to testing the encoded difference of its sides for zero.  The
+verifiers encode the objects the library emits (linear forms, generating
+function parameters and closed sums), not copies of their formulas.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from typing import Iterable
 
-from .arith import ALPHA, BETA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike
-from .sequences import balancing
+from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike
+from .linearize import LinearForm, linearize_even, linearize_odd
+from .summation import gf_params, power_sum_formula
 
 # 1 / (4*sqrt(2)) = sqrt(2)/8, the factor converting a power difference
-# X**j - X**(-j) into the sequence value it encodes.
+# ALPHA**o * X**s - BETA**o * X**-s into the balancing number it encodes.
 _INV_FOUR_SQRT2 = QuadElem(0, Fraction(1, 8))
 
 
@@ -43,10 +46,6 @@ class LaurentPoly:
                 if coeff:
                     cleaned[exponent] = coeff
         self._coeffs = cleaned
-
-    @classmethod
-    def zero(cls) -> LaurentPoly:
-        return cls()
 
     @classmethod
     def one(cls) -> LaurentPoly:
@@ -135,82 +134,61 @@ class LaurentPoly:
         return f"LaurentPoly({terms})"
 
 
-def _power_difference(exponent: int, scale: QuadElem = QUAD_ONE) -> LaurentPoly:
-    """scale * (X**exponent - X**(-exponent))."""
-    return LaurentPoly({exponent: scale, -exponent: -scale})
+def encode(bterms: Iterable[tuple[RatLike, int, int]], constant: RatLike = 0) -> LaurentPoly:
+    """constant + sum of coeff * B(s*n + o) as a Laurent polynomial in X = ALPHA**n,
+    by B(s*n + o) = (ALPHA**o * X**s - BETA**o * X**-s) / (4*sqrt 2).
+
+    BETA**o is the conjugate of ALPHA**o, and so is ALPHA**o of ALPHA**(-o)
+    for a negative offset o.
+    """
+    coeffs: dict[int, QuadElem] = {0: QuadElem(constant)}
+    for coeff, s, o in bterms:
+        alpha_o = ALPHA**o if o >= 0 else (ALPHA**-o).conj()
+        scale = _INV_FOUR_SQRT2 * coeff
+        coeffs[s] = coeffs.get(s, QUAD_ZERO) + alpha_o * scale
+        coeffs[-s] = coeffs.get(-s, QUAD_ZERO) - alpha_o.conj() * scale
+    return LaurentPoly(coeffs)
+
+
+def _proves_power(form: LinearForm, power: int) -> bool:
+    """Whether ``form`` equals B(n)**power for every n."""
+    return (encode(form.bterms, form.constant) - encode([(1, 1, 0)]) ** power).is_zero()
 
 
 def verify_odd_power_identity(l: int) -> bool:
-    """Check (X - 1/X)**(2l+1) against its equally-spaced expansion.
-
-    The expansion is sum_{0<=s<=l} (-1)**s * C(2l+1, s) * (X**e - X**-e)
-    with e = 2l+1-2s.  With X standing for ALPHA**n this single polynomial
-    identity proves the odd-power linearization for every n at once.
-    """
-    if l < 0:
-        raise ValueError(f"l must be non-negative, got {l}")
-    lhs = _power_difference(1) ** (2 * l + 1)
-    rhs = LaurentPoly.zero()
-    for s in range(l + 1):
-        e = 2 * l + 1 - 2 * s
-        rhs = rhs + _power_difference(e) * ((-1) ** s * comb(2 * l + 1, s))
-    return (lhs - rhs).is_zero()
+    """Check the form :func:`linearize_odd` emits against the encoding of
+    B(n)**(2l+1): one polynomial identity proves it for every n at once.  A
+    negative l raises ValueError."""
+    return _proves_power(linearize_odd(l), 2 * l + 1)
 
 
 def verify_even_power_identity(l: int) -> bool:
-    """Check the even-power linearization of B(n)**(2l) for all n at once.
-
-    With X = ALPHA**n symbolic, B(j*n) encodes as
-    (X**j - X**-j) / (4*sqrt 2) and B(j*(n+1)) as
-    (ALPHA**j * X**j - BETA**j * X**-j) / (4*sqrt 2); the left-hand side
-    B(n)**(2l) is the 2l-th power of the j = 1 encoding.  Both sides are
-    scaled by 2**(5l) (so the constant term becomes (-1)**l * C(2l, l),
-    confirming that the constant carries the 2**(5l) denominator) and the
-    difference must be the zero polynomial.
-    """
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    lhs = _power_difference(1, _INV_FOUR_SQRT2) ** (2 * l) * (2 ** (5 * l))
-    rhs = LaurentPoly.zero()
-    for s in range(l):
-        j = 2 * (l - s)
-        sign = (-1) ** s
-        binom = comb(2 * l, s)
-        plain = _power_difference(j, _INV_FOUR_SQRT2)
-        shifted = LaurentPoly(
-            {j: ALPHA**j * _INV_FOUR_SQRT2, -j: -(BETA**j * _INV_FOUR_SQRT2)}
-        )
-        rhs = rhs + (plain + shifted) * Fraction(2 * sign * binom, balancing(j))
-        rhs = rhs + plain * Fraction(-sign * binom * balancing(j), balancing(l - s) ** 2)
-    rhs = rhs + LaurentPoly({0: (-1) ** l * comb(2 * l, l)})
-    return (lhs - rhs).is_zero()
+    """Check the form :func:`linearize_even` emits for B(n)**(2l), as for odd
+    powers; its constant sits at X**0.  An l below 1 raises ValueError."""
+    return _proves_power(linearize_even(l), 2 * l)
 
 
 def verify_subsequence_recurrence(m: int) -> bool:
-    """Check B(k*m) = (6*B(m) - 2*B(m-1))*B((k-1)*m) - B((k-2)*m) for all k.
+    """Check B(k*m) = middle*B((k-1)*m) - B((k-2)*m) for all k, with the
+    middle coefficient that :func:`gf_params` emits, encoded in X = ALPHA**k.
 
-    Written with power differences and K = ALPHA**(k*m) symbolic, every
-    BETA power is the conjugate constant times the matching negative power
-    of K (ALPHA**(-m) = BETA**m and vice versa), e.g. ALPHA**((k-1)m) is
-    K * BETA**m and BETA**((k-1)m) is (1/K) * ALPHA**m.  The m = 1 instance
-    is the defining recurrence itself and is excluded here.
+    The m = 1 instance is the defining recurrence itself and is excluded.
     """
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    alpha_m = ALPHA**m
-    beta_m = alpha_m.conj()
-    alpha_m1 = ALPHA ** (m - 1)
-    beta_m1 = alpha_m1.conj()
-    spread = ALPHA - BETA
+    middle = gf_params(m).middle
+    return encode([(1, m, 0), (-middle, m, -m), (1, m, -2 * m)]).is_zero()
 
-    current = LaurentPoly({1: QUAD_ONE, -1: -QUAD_ONE}) * spread
-    back_one = LaurentPoly({1: beta_m, -1: -alpha_m})
-    back_two = LaurentPoly({1: beta_m * beta_m, -1: -(alpha_m * alpha_m)})
 
-    expr = (
-        current
-        - back_one * ((alpha_m - beta_m) * 6)
-        + back_one * ((alpha_m1 - beta_m1) * 2)
-        + back_two * spread
-    )
-    return expr.is_zero()
+def verify_power_sum_formula(m: int, l: int) -> bool:
+    """Check the closed form :func:`power_sum_formula` emits for
+    S(n) = sum_{0<=k<=n} B(k*m)**l; an m or l below 1 raises ValueError.
+
+    S(0) = 0 is checked by evaluation, and S(n) - S(n-1) = B(m*n)**l for
+    every n as a polynomial identity.  In S(n-1) each term B(s*n + o) moves to
+    offset o - s, and the linear part drops by its coefficient.
+    """
+    expr = power_sum_formula(m, l)
+    previous = [(coeff, s, o - s) for coeff, s, o in expr.bterms]
+    step = encode(expr.bterms, expr.linear_coeff) - encode(previous)
+    return expr.exact_value_at(0) == 0 and (step - encode([(1, m, 0)]) ** l).is_zero()

@@ -13,13 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .arith import as_integer, rat_from_str, rat_to_str
+from .arith import RatLike, as_integer, rat_from_str, rat_to_str
 from .sequences import balancing
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
 TermKey = tuple[int, int]
+# (coeff, stride, offset): the term coeff * B(stride*n + offset).
+BTerm = tuple[Fraction, int, int]
+
+
+def _affine_value(constant: Fraction, linear: RatLike, bterms: Iterable[BTerm], n: int) -> Fraction:
+    """constant + linear*(n+1) + sum of coeff * B(stride*n + offset), exactly;
+    the one evaluator of linear forms and closed sums."""
+    if n < 0:
+        raise ValueError(f"index must be non-negative, got {n}")
+    total = constant + linear * (n + 1)
+    for coeff, stride, offset in bterms:
+        total += coeff * balancing(stride * n + offset)
+    return total
 
 
 @dataclass(frozen=True)
@@ -34,14 +47,14 @@ class LinearForm:
     constant: Fraction
     terms: tuple[tuple[TermKey, Fraction], ...]
 
+    @property
+    def bterms(self) -> tuple[BTerm, ...]:
+        """The terms as (coeff, stride, offset): B(j*(n+s)) is B(j*n + j*s)."""
+        return tuple((coeff, mult, mult * shift) for (mult, shift), coeff in self.terms)
+
     def exact_value_at(self, n: int) -> Fraction:
         """Evaluate at n without the integrality check."""
-        if n < 0:
-            raise ValueError(f"index must be non-negative, got {n}")
-        total = self.constant
-        for (mult, shift), coeff in self.terms:
-            total += coeff * balancing(mult * (n + shift))
-        return total
+        return _affine_value(self.constant, 0, self.bterms, n)
 
     def value_at(self, n: int) -> int:
         """Evaluate at n; the result must be the integer B(n)**power."""
@@ -99,16 +112,18 @@ def _join_signed(pieces: list[tuple[Fraction, str | None]]) -> str:
     return " ".join(out)
 
 
-def _build_form(power: int, constant: Fraction, pairs: Iterable[tuple[TermKey, Fraction]]) -> LinearForm:
+def _merge(
+    pairs: Iterable[tuple[TermKey, Fraction]], order: Callable[[TermKey], tuple[int, int]]
+) -> list[tuple[TermKey, Fraction]]:
+    """Sum the coefficients of equal keys, drop zero sums, and sort by ``order``."""
     merged: dict[TermKey, Fraction] = {}
     for key, coeff in pairs:
         merged[key] = merged.get(key, Fraction(0)) + coeff
-    ordered = tuple(
-        (key, coeff)
-        for key, coeff in sorted(merged.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-        if coeff != 0
-    )
-    return LinearForm(power, constant, ordered)
+    return sorted(((k, c) for k, c in merged.items() if c != 0), key=lambda kv: order(kv[0]))
+
+
+def _build_form(power: int, constant: Fraction, pairs: Iterable[tuple[TermKey, Fraction]]) -> LinearForm:
+    return LinearForm(power, constant, tuple(_merge(pairs, lambda key: (-key[0], key[1]))))
 
 
 def linearize_odd(l: int) -> LinearForm:

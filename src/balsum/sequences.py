@@ -15,7 +15,8 @@ as an oracle for the others.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 from .arith import ALPHA, InexactResultError
 
@@ -24,31 +25,33 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 _STEP: Mat2 = ((6, -1), (1, 0))
 _IDENTITY: Mat2 = ((1, 0), (0, 1))
 
+# (x(0), x(1)) of each sequence under x(n) = 6*x(n-1) - x(n-2).
+_SEEDS = {"B": (0, 1), "C": (1, 3)}
+
 
 def _check_index(n: int) -> None:
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
 
 
-def _recurrence(n: int, seed0: int, seed1: int) -> int:
-    prev, cur = seed0, seed1
-    for _ in range(n):
+def _recurrence(seq: str) -> Iterator[int]:
+    """The values of B or C at indices 0, 1, 2, ... without end."""
+    prev, cur = _SEEDS[seq]
+    while True:
+        yield prev
         prev, cur = cur, 6 * cur - prev
-    return prev
 
 
-@lru_cache(maxsize=None)
 def balancing(n: int) -> int:
     """B(n) by the iterative recurrence; O(n) big-integer operations."""
     _check_index(n)
-    return _recurrence(n, 0, 1)
+    return next(islice(_recurrence("B"), n, None))
 
 
-@lru_cache(maxsize=None)
 def lucas_balancing(n: int) -> int:
     """C(n), the companion sequence: 1, 3, 17, 99, ..."""
     _check_index(n)
-    return _recurrence(n, 1, 3)
+    return next(islice(_recurrence("C"), n, None))
 
 
 def _mat_mul(x: Mat2, y: Mat2) -> Mat2:
@@ -70,7 +73,8 @@ def _mat_pow(n: int) -> Mat2:
 
 
 def balancing_fast(n: int) -> int:
-    """B(n) via the n-th power of the step matrix [[6, -1], [1, 0]]; O(log n)."""
+    """B(n) via the n-th power of the step matrix [[6, -1], [1, 0]]; O(log n);
+    a test oracle for :func:`balancing`, and ``balsum gen --method fast``."""
     _check_index(n)
     return _mat_pow(n)[1][0]
 
@@ -87,7 +91,8 @@ def balancing_binet(n: int) -> int:
 
     ALPHA**n = a + b*sqrt(2) with b = 2*B(n), because the conjugate power
     BETA**n contributes -b*sqrt(2) and the difference of the two powers is
-    4*sqrt(2)*B(n).
+    4*sqrt(2)*B(n).  Test oracle for :func:`balancing`; also
+    ``balsum gen --method binet``.
     """
     _check_index(n)
     b = (ALPHA**n).b
@@ -109,7 +114,8 @@ def gf_coefficients(count: int) -> list[int]:
     """First ``count`` power-series coefficients of z / (1 - 6*z + z**2).
 
     Computed by the coefficient recurrence c(n) = 6*c(n-1) - c(n-2) with
-    c(0) = 0, c(1) = 1, independently of :func:`balancing`.
+    c(0) = 0, c(1) = 1, independently of :func:`balancing`: a test oracle
+    for the generating function of B.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
@@ -122,14 +128,6 @@ def gf_coefficients(count: int) -> list[int]:
 def sequence_table(upto: int, seq: str = "B") -> list[int]:
     """Values of B or C at indices 0..upto, built in one recurrence pass."""
     _check_index(upto)
-    if seq == "B":
-        prev, cur = 0, 1
-    elif seq == "C":
-        prev, cur = 1, 3
-    else:
+    if seq not in _SEEDS:
         raise ValueError(f"seq must be 'B' or 'C', got {seq!r}")
-    values = []
-    for _ in range(upto + 1):
-        values.append(prev)
-        prev, cur = cur, 6 * cur - prev
-    return values
+    return list(islice(_recurrence(seq), upto + 1))

@@ -4,12 +4,13 @@ The backbone is the generating function of the subsequence B(k*m):
 
     sum_k B(k*m) z**k  =  B(m)*z / (1 - 2*C(m)*z + z**2)
 
-whose partial sums telescope into
-(B(m*(n+1)) - B(m*n) - B(m)) / (2*C(m) - 2).  A shifted variant covers
-sum_k B(k*m + r), and composing the shifted sums with the linearization of
-B(n)**l yields exact closed forms for sum_{0<=k<=n} B(k*m)**l for arbitrary
-positive m and l.  Every division in this module is exact by construction and
-checked at runtime.
+whose partial sums telescope.  :func:`_shifted_sum_parts` derives the
+telescoped sum of B(k*M + R) once, symbolically in n; :func:`closed_sum` and
+:func:`shifted_closed_sum` evaluate it, and :func:`power_sum_formula` applies
+it to every term of the linearization of B(n)**l, which yields exact closed
+forms for sum_{0<=k<=n} B(k*m)**l that :func:`power_sum` evaluates.  Every
+evaluation goes through the evaluator of linear forms and is checked to be an
+exact integer.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import as_integer, exact_div, rat_from_str, rat_to_str
-from .linearize import _join_signed, linearize
+from .arith import as_integer, rat_from_str, rat_to_str
+from .linearize import BTerm, _affine_value, _join_signed, _merge, linearize
 from .sequences import balancing, lucas_balancing
 
 
@@ -36,7 +37,7 @@ def gf_params(m: int) -> GFParams:
     """Parameters of the generating function of k -> B(k*m), m >= 1."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    return GFParams(balancing(m), 6 * balancing(m) - 2 * balancing(m - 1), m)
+    return GFParams(balancing(m), 2 * lucas_balancing(m), m)
 
 
 def subsequence_gf_check(m: int, n_terms: int) -> bool:
@@ -59,42 +60,41 @@ def subsequence_gf_check(m: int, n_terms: int) -> bool:
     return True
 
 
+def _shifted_sum_parts(stride: int, offset: int) -> tuple[tuple[BTerm, BTerm], Fraction]:
+    """The telescoped sum_{0<=k<=n} B(k*stride + offset), symbolic in n.
+
+    With q = 1/(2*C(stride) - 2), returns the pair of terms
+    q*B(stride*n + stride + offset) - q*B(stride*n + offset) and the constant
+    q*(B(offset) - B(stride + offset)) + B(offset).
+    """
+    q = Fraction(1, 2 * lucas_balancing(stride) - 2)
+    b_offset = balancing(offset)
+    pair = ((q, stride, stride + offset), (-q, stride, offset))
+    return pair, q * (b_offset - balancing(stride + offset)) + b_offset
+
+
 def closed_sum(m: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m) in closed form:
-    (B(m*(n+1)) - B(m*n) - B(m)) / (2*C(m) - 2)."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    numer = balancing(m * (n + 1)) - balancing(m * n) - balancing(m)
-    return exact_div(numer, 2 * lucas_balancing(m) - 2, f"closed sum m={m}, n={n}")
+    """sum_{0<=k<=n} B(k*m) in closed form: :func:`shifted_closed_sum` at r = 0."""
+    return shifted_closed_sum(m, 0, n)
 
 
 def shifted_closed_sum(m: int, r: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m + r) in closed form.
+    """sum_{0<=k<=n} B(k*m + r), evaluated from :func:`_shifted_sum_parts`.
 
-    Same partial-fraction mechanism as :func:`closed_sum`:
-
-        (B(m*(n+1)+r) - B(m*n+r) - B(m+r) + B(r)) / (2*C(m) - 2) + B(r)
-
-    and reduces to it at r = 0 since B(0) = 0.  The formula is pinned to the
-    direct-summation oracle over a grid of (m, r, n) in the test suite.
+    The formula is pinned to the direct-summation oracle over a grid of
+    (m, r, n) in the test suite.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    b_r = balancing(r)
-    numer = balancing(m * (n + 1) + r) - balancing(m * n + r) - balancing(m + r) + b_r
-    quot = exact_div(numer, 2 * lucas_balancing(m) - 2, f"shifted sum m={m}, r={r}, n={n}")
-    return quot + b_r
+    pair, constant = _shifted_sum_parts(m, r)
+    return as_integer(_affine_value(constant, 0, pair, n), f"shifted sum m={m}, r={r}, n={n}")
 
 
 def brute_force_power_sum(m: int, l: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m)**l by direct exponentiation; the independent
-    oracle for every closed form in this module."""
+    """sum_{0<=k<=n} B(k*m)**l by direct exponentiation; the test oracle for
+    every closed form in this module."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if l < 1:
@@ -105,21 +105,9 @@ def brute_force_power_sum(m: int, l: int, n: int) -> int:
 
 
 def power_sum(m: int, l: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m)**l via linearization plus shifted closed sums.
-
-    Substituting k*m for the argument of the linear form turns each term
-    coeff * B(j*(k*m + s)) into coeff * B((j*m)*k + j*s), which is a shifted
-    equally spaced sum; the form's constant contributes (n+1) copies.
-    """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    form = linearize(l)
-    total = form.constant * (n + 1)
-    for (mult, shift), coeff in form.terms:
-        total += coeff * shifted_closed_sum(mult * m, mult * shift, n)
-    return as_integer(total, f"power sum m={m}, l={l}, n={n}")
+    """sum_{0<=k<=n} B(k*m)**l: the closed form of :func:`power_sum_formula`
+    evaluated at n."""
+    return power_sum_formula(m, l).value_at(n)
 
 
 @dataclass(frozen=True)
@@ -133,17 +121,12 @@ class ClosedSumExpr:
 
     m: int
     power: int
-    bterms: tuple[tuple[Fraction, int, int], ...]  # (coeff, stride, offset)
+    bterms: tuple[BTerm, ...]
     linear_coeff: Fraction
     constant: Fraction
 
     def exact_value_at(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        total = self.constant + self.linear_coeff * (n + 1)
-        for coeff, stride, offset in self.bterms:
-            total += coeff * balancing(stride * n + offset)
-        return total
+        return _affine_value(self.constant, self.linear_coeff, self.bterms, n)
 
     def value_at(self, n: int) -> int:
         return as_integer(
@@ -192,33 +175,23 @@ def _bterm_label(stride: int, offset: int) -> str:
 
 
 def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
-    """The symbolic closed form behind :func:`power_sum`.
+    """The symbolic closed form of sum_{0<=k<=n} B(k*m)**l.
 
-    Each linear-form term coeff * B((j*m)*k + j*s) contributes, with
-    M = j*m, R = j*s and D = 2*C(M) - 2, the pair of symbolic terms
-    (coeff/D) * B(M*n + M + R) - (coeff/D) * B(M*n + R) plus the constant
-    coeff * (B(R) - B(M+R)) / D + coeff * B(R); the linearization constant
-    becomes the coefficient of (n+1).
+    At the index k*m, each term coeff * B(stride*x + offset) of the
+    linearization of B(x)**l becomes coeff * B((stride*m)*k + offset), an
+    equally spaced shifted sum.  Its telescoped parts, scaled by coeff, are
+    merged by (stride, offset); the linearization constant becomes the
+    coefficient of (n+1).
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     form = linearize(l)
-    acc: dict[tuple[int, int], Fraction] = {}
+    pairs: list[tuple[tuple[int, int], Fraction]] = []
     constant = Fraction(0)
-    for (mult, shift), coeff in form.terms:
-        stride = mult * m
-        offset = mult * shift
-        denom = 2 * lucas_balancing(stride) - 2
-        for key, part in (
-            ((stride, stride + offset), coeff / denom),
-            ((stride, offset), -coeff / denom),
-        ):
-            acc[key] = acc.get(key, Fraction(0)) + part
-        constant += coeff * Fraction(balancing(offset) - balancing(stride + offset), denom)
-        constant += coeff * balancing(offset)
-    bterms = tuple(
-        (coeff, stride, offset)
-        for (stride, offset), coeff in sorted(acc.items(), key=lambda kv: (-kv[0][0], -kv[0][1]))
-        if coeff != 0
-    )
+    for coeff, stride, offset in form.bterms:
+        pair, pair_constant = _shifted_sum_parts(stride * m, offset)
+        pairs += [((s, o), coeff * q) for q, s, o in pair]
+        constant += coeff * pair_constant
+    merged = _merge(pairs, lambda key: (-key[0], -key[1]))
+    bterms = tuple((coeff, s, o) for (s, o), coeff in merged)
     return ClosedSumExpr(m, l, bterms, form.constant, constant)

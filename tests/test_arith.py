@@ -12,7 +12,6 @@ from balsum.arith import (
     QuadElem,
     SQRT2,
     as_integer,
-    exact_div,
     rat_add,
     rat_div,
     rat_from_str,
@@ -156,8 +155,3 @@ class TestIntegerHelpers:
         assert as_integer(Fraction(12, 4)) == 3
         with pytest.raises(InexactResultError):
             as_integer(Fraction(1, 2))
-
-    def test_exact_div(self):
-        assert exact_div(6720, 32) == 210
-        with pytest.raises(InexactResultError):
-            exact_div(7, 2)

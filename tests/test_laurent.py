@@ -4,15 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from balsum import laurent
 from balsum.arith import ALPHA, QUAD_ONE, QuadElem
 from balsum.laurent import (
     LaurentPoly,
+    encode,
     verify_even_power_identity,
     verify_odd_power_identity,
+    verify_power_sum_formula,
     verify_subsequence_recurrence,
 )
-from balsum.linearize import linearize
+from balsum.linearize import LinearForm, linearize, linearize_even, linearize_odd
 from balsum.sequences import balancing
+from balsum.summation import ClosedSumExpr, GFParams, gf_params, power_sum_formula
 
 X = LaurentPoly.monomial(1)
 X_INV = LaurentPoly.monomial(-1)
@@ -157,3 +161,75 @@ def test_mixed_scalar_multiplication():
     p = X - X_INV
     assert p * Fraction(1, 2) == LaurentPoly({1: Fraction(1, 2), -1: Fraction(-1, 2)})
     assert 3 * p == LaurentPoly({1: 3, -1: -3})
+
+
+def _signed_balancing(i):
+    # The Binet form extends B to negative indices as B(-i) = -B(i).
+    return balancing(i) if i >= 0 else -balancing(-i)
+
+
+def test_encode_pins_balancing_at_affine_indices():
+    for s in range(1, 5):
+        for o in range(-3, 6):
+            poly = encode([(1, s, o)])
+            for n in range(2, 8):
+                assert poly.evaluate(ALPHA**n) == _signed_balancing(s * n + o)
+
+
+def test_encode_constant_and_merged_terms():
+    assert encode([], 5) == LaurentPoly({0: 5})
+    assert encode([(1, 2, 0), (-1, 2, 0)]).is_zero()
+
+
+def test_odd_verifier_rejects_changed_coefficient(monkeypatch):
+    form = linearize_odd(2)
+    (key, coeff), *rest = form.terms
+    changed = LinearForm(form.power, form.constant, ((key, coeff + 1), *rest))
+    monkeypatch.setattr(laurent, "linearize_odd", lambda l: changed)
+    assert not verify_odd_power_identity(2)
+
+
+def test_even_verifier_rejects_unscaled_constant(monkeypatch):
+    # The criterion-4 literal: the constant left unscaled by 2**(5l).
+    form = linearize_even(1)
+    literal = LinearForm(form.power, Fraction(-2), form.terms)
+    monkeypatch.setattr(laurent, "linearize_even", lambda l: literal)
+    assert not verify_even_power_identity(1)
+
+
+def test_recurrence_verifier_rejects_wrong_middle(monkeypatch):
+    def wrong(m):
+        params = gf_params(m)
+        return GFParams(params.numer, params.middle + 1, params.m)
+
+    monkeypatch.setattr(laurent, "gf_params", wrong)
+    assert not verify_subsequence_recurrence(3)
+
+
+def test_power_sum_formula_verifier_range():
+    for m in range(1, 7):
+        for l in range(1, 9):
+            assert verify_power_sum_formula(m, l)
+
+
+def test_power_sum_formula_verifier_rejects_perturbed_forms(monkeypatch):
+    expr = power_sum_formula(2, 3)
+    (coeff, stride, offset), *rest = expr.bterms
+    perturbed = [
+        # Caught by S(0) = 0 alone: a constant cancels from S(n) - S(n-1).
+        ClosedSumExpr(expr.m, expr.power, expr.bterms, expr.linear_coeff, expr.constant + 1),
+        ClosedSumExpr(
+            expr.m, expr.power, ((coeff * 2, stride, offset), *rest), expr.linear_coeff, expr.constant
+        ),
+        ClosedSumExpr(expr.m, expr.power, expr.bterms, expr.linear_coeff + 1, expr.constant),
+    ]
+    for wrong in perturbed:
+        monkeypatch.setattr(laurent, "power_sum_formula", lambda m, l: wrong)
+        assert not verify_power_sum_formula(2, 3)
+
+
+def test_power_sum_formula_verifier_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        verify_power_sum_formula(0, 1)
+    with pytest.raises(ValueError):
+        verify_power_sum_formula(1, 0)

@@ -42,6 +42,12 @@ def test_even_l1_values():
     assert form.value_at(0) == 0
 
 
+def test_bterms_are_stride_offset_triples():
+    # B(2(n+1)) is B(2n + 2).
+    assert linearize(2).bterms == ((Fraction(-17, 96), 2, 0), (Fraction(1, 96), 2, 2))
+    assert linearize(3).bterms == ((Fraction(1, 32), 3, 0), (Fraction(-3, 32), 1, 0))
+
+
 def test_dispatch():
     assert linearize(3) == linearize_odd(1)
     assert linearize(2) == linearize_even(1)

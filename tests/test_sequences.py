@@ -34,6 +34,13 @@ def test_negative_index_rejected(fn):
         fn(-1)
 
 
+@pytest.mark.parametrize("fn", [balancing, lucas_balancing])
+def test_recurrence_holds_no_cache(fn):
+    # A cache would keep every huge value ever asked for, without bound.
+    assert not hasattr(fn, "cache_info")
+    assert not hasattr(fn, "__wrapped__")
+
+
 def test_lucas_balancing_values():
     assert lucas_balancing(0) == 1
     assert lucas_balancing(1) == 3

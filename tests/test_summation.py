@@ -113,6 +113,8 @@ def test_argument_validation():
         lambda: closed_sum(1, -1),
         lambda: shifted_closed_sum(0, 0, 0),
         lambda: shifted_closed_sum(1, -1, 0),
+        lambda: shifted_closed_sum(1, 0, -1),
+        lambda: power_sum(1, 1, -1),
         lambda: power_sum(1, 0, 5),
         lambda: power_sum(0, 1, 5),
         lambda: brute_force_power_sum(1, 1, -2),
