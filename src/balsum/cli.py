@@ -60,13 +60,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         generate = _GENERATORS[(args.seq, args.method)]
         values = [generate(n) for n in range(args.upto + 1)]
     if args.format == "json":
-        doc = {
-            "seq": args.seq,
-            "method": args.method,
-            "upto": args.upto,
-            "rows": [{"n": n, "value": str(v)} for n, v in enumerate(values)],
-        }
-        print(dump_json(doc))
+        # dump_json of the whole document, written one row at a time so that
+        # the decimal strings of all the rows are never held at once.  A row
+        # holds an int and a string of digits, which JSON renders as is.
+        head = dump_json({"seq": args.seq, "method": args.method, "upto": args.upto, "rows": []})
+        write = sys.stdout.write
+        write(head.removesuffix("[]\n}") + "[")
+        for n, value in enumerate(values):
+            write(f'{"," if n else ""}\n    {{\n      "n": {n},\n      "value": "{value}"\n    }}')
+        write("\n  ]\n}\n")
     elif args.format == "csv":
         print("n,value")
         for n, value in enumerate(values):
@@ -209,7 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Outputs may hold integers of more than 4,300 digits, the default limit
+    # of int/str conversion; lift it for this call only (Python 3.10 before
+    # 3.10.7 has no limit).
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return args.func(args)
+    previous = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

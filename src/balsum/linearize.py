@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .arith import RatLike, as_integer, rat_from_str, rat_to_str
-from .sequences import balancing
+from .sequences import balancing, balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
 TermKey = tuple[int, int]
@@ -26,12 +26,22 @@ BTerm = tuple[Fraction, int, int]
 
 def _affine_value(constant: Fraction, linear: RatLike, bterms: Iterable[BTerm], n: int) -> Fraction:
     """constant + linear*(n+1) + sum of coeff * B(stride*n + offset), exactly;
-    the one evaluator of linear forms and closed sums."""
+    the one evaluator of linear forms and closed sums.
+
+    Each stride costs one :func:`balancing_pair` at the large index
+    y = stride*n; each term then follows from the small pair at its offset o
+    by the addition formula B(y + o) = B(y)*C(o) + C(y)*B(o).
+    """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     total = constant + linear * (n + 1)
+    at_stride: dict[int, tuple[int, int]] = {}
     for coeff, stride, offset in bterms:
-        total += coeff * balancing(stride * n + offset)
+        if stride not in at_stride:
+            at_stride[stride] = balancing_pair(stride * n)
+        b_y, c_y = at_stride[stride]
+        b_o, c_o = balancing_pair(offset)
+        total += coeff * (b_y * c_o + c_y * b_o)
     return total
 
 

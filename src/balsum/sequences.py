@@ -7,10 +7,12 @@ n >= 1; it shows up as half the middle coefficient of every equally-spaced
 subsequence recurrence, and it satisfies the Pell relation
 C(n)**2 - 8*B(n)**2 = 1.
 
-Three generators for B are provided on purpose: the O(n) recurrence, an
-O(log n) 2x2 matrix power, and evaluation through powers of
-ALPHA = 3 + 2*sqrt(2).  They are implemented independently so each can serve
-as an oracle for the others.
+The evaluator is :func:`balancing_pair`, which doubles the pair (B, C) in
+O(log n) multiplications; :func:`balancing` and :func:`lucas_balancing` read
+their value off it.  The O(n) recurrence builds whole tables
+(:func:`sequence_table`).  The recurrence, an O(log n) 2x2 matrix power and
+evaluation through powers of ALPHA = 3 + 2*sqrt(2) are implemented
+independently of the doubling, so each serves as a test oracle for it.
 """
 
 from __future__ import annotations
@@ -35,23 +37,40 @@ def _check_index(n: int) -> None:
 
 
 def _recurrence(seq: str) -> Iterator[int]:
-    """The values of B or C at indices 0, 1, 2, ... without end."""
+    """The values of B or C at indices 0, 1, 2, ... without end; the table
+    walk, and a test oracle for :func:`balancing_pair`."""
     prev, cur = _SEEDS[seq]
     while True:
         yield prev
         prev, cur = cur, 6 * cur - prev
 
 
-def balancing(n: int) -> int:
-    """B(n) by the iterative recurrence; O(n) big-integer operations."""
+def balancing_pair(n: int) -> tuple[int, int]:
+    """(B(n), C(n)) in O(log n) big-integer multiplications.
+
+    Reads the bits of n from the top, doubling with B(2k) = 2*B(k)*C(k) and
+    C(2k) = 2*C(k)**2 - 1, and stepping with B(k+1) = 3*B(k) + C(k) and
+    C(k+1) = 8*B(k) + 3*C(k) at each set bit (the Lucas-sequence doubling of
+    Joye and Quisquater, 1996).
+    """
     _check_index(n)
-    return next(islice(_recurrence("B"), n, None))
+    b, c = 0, 1
+    for bit in bin(n)[2:]:
+        b, c = 2 * b * c, 2 * c * c - 1
+        if bit == "1":
+            b, c = 3 * b + c, 8 * b + 3 * c
+    return b, c
+
+
+def balancing(n: int) -> int:
+    """B(n), read off :func:`balancing_pair`; O(log n) multiplications."""
+    return balancing_pair(n)[0]
 
 
 def lucas_balancing(n: int) -> int:
-    """C(n), the companion sequence: 1, 3, 17, 99, ..."""
-    _check_index(n)
-    return next(islice(_recurrence("C"), n, None))
+    """C(n), the companion sequence 1, 3, 17, 99, ..., read off
+    :func:`balancing_pair`."""
+    return balancing_pair(n)[1]
 
 
 def _mat_mul(x: Mat2, y: Mat2) -> Mat2:
@@ -74,13 +93,14 @@ def _mat_pow(n: int) -> Mat2:
 
 def balancing_fast(n: int) -> int:
     """B(n) via the n-th power of the step matrix [[6, -1], [1, 0]]; O(log n);
-    a test oracle for :func:`balancing`, and ``balsum gen --method fast``."""
+    a test oracle for :func:`balancing_pair`, and ``balsum gen --method fast``."""
     _check_index(n)
     return _mat_pow(n)[1][0]
 
 
 def lucas_balancing_fast(n: int) -> int:
-    """C(n) via the same matrix power, seeded with C(1) = 3, C(0) = 1."""
+    """C(n) via the same matrix power, seeded with C(1) = 3, C(0) = 1; a test
+    oracle for :func:`balancing_pair`."""
     _check_index(n)
     m = _mat_pow(n)
     return 3 * m[1][0] + m[1][1]
@@ -91,7 +111,7 @@ def balancing_binet(n: int) -> int:
 
     ALPHA**n = a + b*sqrt(2) with b = 2*B(n), because the conjugate power
     BETA**n contributes -b*sqrt(2) and the difference of the two powers is
-    4*sqrt(2)*B(n).  Test oracle for :func:`balancing`; also
+    4*sqrt(2)*B(n).  Test oracle for :func:`balancing_pair`; also
     ``balsum gen --method binet``.
     """
     _check_index(n)
@@ -102,7 +122,7 @@ def balancing_binet(n: int) -> int:
 
 
 def lucas_balancing_binet(n: int) -> int:
-    """C(n) as the rational part of ALPHA**n."""
+    """C(n) as the rational part of ALPHA**n; a test oracle."""
     _check_index(n)
     a = (ALPHA**n).a
     if a.denominator != 1:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .arith import as_integer, rat_from_str, rat_to_str
 from .linearize import BTerm, _affine_value, _join_signed, _merge, linearize
-from .sequences import balancing, lucas_balancing
+from .sequences import _recurrence, balancing, lucas_balancing
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,18 @@ def shifted_closed_sum(m: int, r: int, n: int) -> int:
 
 def brute_force_power_sum(m: int, l: int, n: int) -> int:
     """sum_{0<=k<=n} B(k*m)**l by direct exponentiation; the test oracle for
-    every closed form in this module."""
+    every closed form in this module.
+
+    It takes every m-th value of one walk of the recurrence, so it shares no
+    code with the doubling evaluator behind the closed forms.
+    """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if l < 1:
         raise ValueError(f"l must be positive, got {l}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    return sum(balancing(k * m) ** l for k in range(n + 1))
+    return sum(b**l for b in islice(_recurrence("B"), 0, m * n + 1, m))
 
 
 def power_sum(m: int, l: int, n: int) -> int:

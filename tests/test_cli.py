@@ -6,16 +6,43 @@ console script behaves in a shell.
 """
 
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
-from balsum.cli import build_parser, main
+from balsum.cli import build_parser, dump_json, main
+from balsum.sequences import sequence_table
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def gen_document(seq, method, upto):
+    """`gen --format json` output built as one document, values from the
+    recurrence table."""
+    rows = [{"n": n, "value": str(v)} for n, v in enumerate(sequence_table(upto, seq))]
+    return dump_json({"seq": seq, "method": method, "upto": upto, "rows": rows}) + "\n"
+
+
+# Python 3.10 before 3.10.7 has no int/str digit limit.
+get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+
+
+@contextmanager
+def no_digit_limit():
+    """Lift the int/str digit limit to read the expected values of the
+    tests over it."""
+    previous = get_digit_limit()
+    set_digit_limit(0)
+    try:
+        yield
+    finally:
+        set_digit_limit(previous)
 
 
 class TestGen:
@@ -80,6 +107,22 @@ class TestGen:
         assert code == 0
         text = out.rstrip("\n")
         assert json.dumps(json.loads(text), indent=2) == text
+
+    @pytest.mark.parametrize("method", ["recurrence", "fast", "binet"])
+    @pytest.mark.parametrize("seq", ["B", "C"])
+    @pytest.mark.parametrize("upto", [0, 1, 5])
+    def test_json_streams_the_whole_document(self, capsys, upto, seq, method):
+        code, out = run_cli(
+            capsys,
+            ["gen", "--upto", str(upto), "--seq", seq, "--method", method, "--format", "json"],
+        )
+        assert code == 0
+        assert out == gen_document(seq, method, upto)
+
+    def test_json_streams_a_long_table(self, capsys):
+        code, out = run_cli(capsys, ["gen", "--upto", "5000", "--format", "json"])
+        assert code == 0
+        assert out == gen_document("B", "recurrence", 5000)
 
     def test_negative_upto_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -280,3 +323,50 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["gen", "--upto", "7"])
         assert args.upto == 7
+
+
+class TestOverDigitLimit:
+    """Outputs holding integers of more than 4,300 digits, the default
+    int/str limit: the CLI lifts the limit for the call and restores it."""
+
+    def run_restoring_limit(self, capsys, argv):
+        limit = get_digit_limit()
+        code, out = run_cli(capsys, argv)
+        assert get_digit_limit() == limit
+        return code, out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_gen_table(self, capsys, fmt):
+        code, out = self.run_restoring_limit(capsys, ["gen", "--upto", "6000", "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            last = json.loads(out)["rows"][-1]
+            n, value = last["n"], last["value"]
+        else:
+            n, value = out.splitlines()[-1].split("\t" if fmt == "text" else ",")
+        assert int(n) == 6000
+        with no_digit_limit():
+            assert len(value) > 4300
+            assert int(value) == sequence_table(6000)[-1]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_power_sum_with_oracle(self, capsys, fmt):
+        argv = ["sum", "--m", "1", "--power", "3", "--upto", "2000", "--oracle", "--format", fmt]
+        code, out = self.run_restoring_limit(capsys, argv)
+        assert code == 0
+        if fmt == "json":
+            data = json.loads(out)
+            value, oracle, match = data["sum"], data["oracle"], data["match"]
+        elif fmt == "csv":
+            header, row = out.splitlines()
+            assert header == "m,power,upto,sum,oracle,match"
+            _, _, _, value, oracle, match = row.split(",")
+            match = match == "true"
+        else:
+            value, oracle_line = out.splitlines()
+            oracle = oracle_line.removeprefix("oracle ")
+            match = oracle == value
+        assert match is True and value == oracle
+        with no_digit_limit():
+            assert len(value) > 4300
+            assert int(value) == sum(b**3 for b in sequence_table(2000))

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from balsum.arith import InexactResultError
-from balsum.linearize import LinearForm, linearize, linearize_even, linearize_odd
-from balsum.sequences import balancing
+from balsum.linearize import LinearForm, _affine_value, linearize, linearize_even, linearize_odd
+from balsum.sequences import balancing, sequence_table
 
 
 def test_odd_l0_is_identity():
@@ -132,3 +132,16 @@ def test_json_round_trip():
     for power in (1, 2, 3, 4, 7):
         form = linearize(power)
         assert LinearForm.from_json_dict(form.to_json_dict()) == form
+
+
+def test_affine_value_matches_termwise_recurrence_sum():
+    # The evaluator groups terms by stride and shifts by the addition
+    # formula; summing term by term over a recurrence table must agree.
+    table = sequence_table(12 * 31)
+    for power in range(1, 13):
+        form = linearize(power)
+        for n in range(31):
+            expected = form.constant + sum(
+                coeff * table[stride * n + offset] for coeff, stride, offset in form.bterms
+            )
+            assert _affine_value(form.constant, 0, form.bterms, n) == expected

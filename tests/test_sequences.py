@@ -5,6 +5,7 @@ from balsum.sequences import (
     balancing,
     balancing_binet,
     balancing_fast,
+    balancing_pair,
     gf_coefficients,
     lucas_balancing,
     lucas_balancing_binet,
@@ -27,7 +28,7 @@ def test_balancing_spot_values():
 
 
 @pytest.mark.parametrize(
-    "fn", [balancing, lucas_balancing, balancing_fast, balancing_binet]
+    "fn", [balancing, lucas_balancing, balancing_fast, balancing_binet, balancing_pair]
 )
 def test_negative_index_rejected(fn):
     with pytest.raises(ValueError):
@@ -39,6 +40,27 @@ def test_recurrence_holds_no_cache(fn):
     # A cache would keep every huge value ever asked for, without bound.
     assert not hasattr(fn, "cache_info")
     assert not hasattr(fn, "__wrapped__")
+
+
+def test_pair_matches_recurrence_table():
+    N = 2000
+    bs, cs = sequence_table(N), sequence_table(N, "C")
+    for n in range(N + 1):
+        assert balancing_pair(n) == (bs[n], cs[n])
+
+
+def test_pair_matches_matrix_around_powers_of_two():
+    # The doubling walks the bits of n: all ones, a lone one, and a lone one
+    # plus the lowest bit.
+    for k in range(17):
+        for n in {2**k - 1, 2**k, 2**k + 1}:
+            assert balancing_pair(n) == (balancing_fast(n), lucas_balancing_fast(n))
+
+
+def test_pair_pell_relation():
+    for n in (*range(64), 1000, 4097, 65536, 100003):
+        b, c = balancing_pair(n)
+        assert c**2 - 8 * b**2 == 1
 
 
 def test_lucas_balancing_values():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from balsum import summation
 from balsum.sequences import balancing, lucas_balancing
 from balsum.summation import (
     ClosedSumExpr,
@@ -97,6 +98,21 @@ def test_power_sum_against_brute_force():
         for l in range(1, 5):
             for n in range(11):
                 assert power_sum(m, l, n) == brute_force_power_sum(m, l, n)
+
+
+@pytest.mark.parametrize("m, l, n", [(1, 3, 2000), (3, 10, 1000), (12, 24, 100)])
+def test_power_sum_against_brute_force_at_large_index(m, l, n):
+    assert power_sum(m, l, n) == brute_force_power_sum(m, l, n)
+
+
+def test_brute_force_does_not_use_the_evaluator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle must not call the evaluator")
+
+    monkeypatch.setattr(summation, "balancing", refuse)
+    monkeypatch.setattr(summation, "lucas_balancing", refuse)
+    monkeypatch.setattr(summation, "_affine_value", refuse)
+    assert brute_force_power_sum(2, 3, 4) == sum(balancing(2 * k) ** 3 for k in range(5))
 
 
 def test_power_sum_telescoping():
