@@ -4,7 +4,11 @@
 
 It times B(n) for n = 10**3 .. 10**6 by each generator (the doubling pair,
 the matrix power and Binet), and power_sum against brute_force_power_sum at
-l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree.  Each entry
+l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree.  It times the
+QuadElem multiply on small rationals (a batch of products) and on operands
+the size of ALPHA**(10**5), and each Laurent verifier at one bound (odd
+l = 30, even l = 20, the subsequence lemma at m = 200, and the closed power
+sums for every m <= 6, l <= 8), checking that each proof holds.  Each entry
 is the median of five calls, or the time of a single call when that takes
 over a second.  No cache is involved: every power_sum call derives its
 formula afresh, so every call is cold.
@@ -14,12 +18,23 @@ from __future__ import annotations
 
 import json
 import platform
+import random
 import statistics
+from fractions import Fraction
 from time import perf_counter
-from typing import Callable
+from typing import Callable, TypeVar
 
+from balsum.arith import ALPHA, QuadElem
+from balsum.laurent import (
+    verify_even_power_identity,
+    verify_odd_power_identity,
+    verify_power_sum_formula,
+    verify_subsequence_recurrence,
+)
 from balsum.sequences import balancing_binet, balancing_fast, balancing_pair
 from balsum.summation import brute_force_power_sum, power_sum
+
+T = TypeVar("T")
 
 GENERATORS = {
     "pair": lambda n: balancing_pair(n)[0],
@@ -30,9 +45,19 @@ INDICES = (10**3, 10**4, 10**5, 10**6)
 # (m, l) pairs; n is chosen so that l*m*n is each of SIZES.
 SHAPES = ((1, 1), (1, 10), (3, 10), (5, 20), (12, 24))
 SIZES = (10**4, 3 * 10**4, 10**5)
+# Products per timed batch of small-rational QuadElem multiplies.
+SMALL_MULS = 10_000
+VERIFIERS = {
+    "odd_l30": lambda: verify_odd_power_identity(30),
+    "even_l20": lambda: verify_even_power_identity(20),
+    "lemma_m200": lambda: verify_subsequence_recurrence(200),
+    "power_sum_formula_m6_l8": lambda: all(
+        verify_power_sum_formula(m, l) for m in range(1, 7) for l in range(1, 9)
+    ),
+}
 
 
-def timed(call: Callable[[], int]) -> tuple[float, int]:
+def timed(call: Callable[[], T]) -> tuple[float, T]:
     """Median wall time in ms over five calls (one if it takes over 1 s),
     and the result."""
     times = []
@@ -56,6 +81,24 @@ def cpu_model() -> str:
     return platform.processor()
 
 
+def quad_mul_rows() -> dict[str, float]:
+    """The QuadElem multiply: a batch of products of small rationals (numerators
+    and denominators below 100), and one product of two distinct elements of
+    the size of ALPHA**(10**5)."""
+    rng = random.Random(4)
+
+    def small() -> QuadElem:
+        return QuadElem(*(Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in "ab"))
+
+    pairs = [(small(), small()) for _ in range(SMALL_MULS)]
+    small_ms, _ = timed(lambda: [x * y for x, y in pairs])
+    x, y = ALPHA ** (10**5), ALPHA ** (10**5 + 1)
+    big_ms, product = timed(lambda: x * y)
+    if product != ALPHA ** (2 * 10**5 + 1):
+        raise SystemExit("QuadElem multiply disagrees with ALPHA**(2*10**5 + 1)")
+    return {f"small_rationals_x{SMALL_MULS}": round(small_ms, 3), "alpha_1e5": round(big_ms, 3)}
+
+
 def main() -> None:
     generators = {}
     for n in INDICES:
@@ -75,12 +118,20 @@ def main() -> None:
                 {"m": m, "l": l, "n": n, "lmn": l * m * n,
                  "power_sum_ms": round(closed_ms, 3), "brute_force_ms": round(brute_ms, 3)}
             )
+    verifiers = {}
+    for name, verify in VERIFIERS.items():
+        ms, proved = timed(verify)
+        if not proved:
+            raise SystemExit(f"verifier {name} failed")
+        verifiers[name] = round(ms, 3)
     print(json.dumps({
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "unit": "ms",
         "B_by_generator": generators,
         "power_sum_vs_brute_force": sums,
+        "quad_mul": quad_mul_rows(),
+        "verifiers": verifiers,
     }, indent=2))
 
 

@@ -6,16 +6,20 @@ keeps the denominator positive and the fraction fully reduced, which is what
 the rest of the library relies on for value equality and serialization.
 
 What this module adds is :class:`QuadElem`, an exact element a + b*sqrt(2)
-with rational coordinates.  The constants ALPHA = 3 + 2*sqrt(2) and
-BETA = 3 - 2*sqrt(2) are the two roots of x**2 - 6*x + 1; their powers drive
-every closed form in this package, and ALPHA*BETA = 1 makes negative powers
-of one expressible through the other.
+with rational coordinates.  It keeps them as one integer triple (p, q, d)
+meaning (p + q*sqrt 2)/d, with d > 0 and gcd(d, p, q) == 1: a product costs
+four integer products and one gcd, a sum over equal denominators no cross
+products, and an integral value (d == 1) no big-integer gcd at all, where a
+pair of Fractions would reduce every intermediate.  The constants
+ALPHA = 3 + 2*sqrt(2) and BETA = 3 - 2*sqrt(2) are the two roots of
+x**2 - 6*x + 1; their powers drive every closed form in this package, and
+ALPHA*BETA = 1 makes negative powers of one expressible through the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -62,59 +66,80 @@ def as_integer(value: Fraction | int, what: str = "result") -> int:
     return q.numerator
 
 
-@dataclass(frozen=True)
 class QuadElem:
     """An exact element a + b*sqrt(2) of Q(sqrt 2).
 
-    Coordinates are rationals so that division (by 4*sqrt(2), by powers of
-    two, ...) stays inside the type.  Values are immutable; all operators
-    return new instances.  Mixed arithmetic with int and Fraction works and
-    treats them as elements with b = 0.
+    Stored as three integers (p, q, d) meaning (p + q*sqrt 2)/d, with d > 0
+    and gcd(d, p, q) == 1, so each value has one representation and equality
+    compares the triples.  An operation works on the integers and reduces
+    once at the end.  Coordinates are rationals so that division (by
+    4*sqrt(2), by powers of two, ...) stays inside the type; ``a`` and ``b``
+    read them as Fractions.  Values are immutable; all operators return new
+    instances.  Mixed arithmetic with int and Fraction works and treats them
+    as elements with b = 0.
     """
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("_p", "_q", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: RatLike, b: RatLike = 0) -> None:
+        if type(a) is int and type(b) is int:
+            self._p, self._q, self._d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        # The lcm of two reduced denominators shares no prime with both
+        # scaled numerators, so the triple is already canonical.
+        d = lcm(a.denominator, b.denominator)
+        self._p = a.numerator * (d // a.denominator)
+        self._q = b.numerator * (d // b.denominator)
+        self._d = d
 
-    @staticmethod
-    def _coerce(value: QuadElem | RatLike) -> QuadElem | None:
-        if isinstance(value, QuadElem):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QuadElem(value)
-        return None
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(2)."""
+        return Fraction(self._q, self._d)
 
     def __add__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a + o.a, self.b + o.b)
+        p2, q2, d2 = o
+        d1 = self._d
+        if d1 == d2:
+            return _reduced(self._p + p2, self._q + q2, d1)
+        return _reduced(self._p * d2 + p2 * d1, self._q * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a - o.a, self.b - o.b)
+        p2, q2, d2 = o
+        return self + _canonical(-p2, -q2, d2)
 
     def __rsub__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _canonical(*o) + -self
 
     def __neg__(self) -> QuadElem:
-        return QuadElem(-self.a, -self.b)
+        return _canonical(-self._p, -self._q, self._d)
 
     def __mul__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = self._coerce(other)
+        p1, q1, d1 = self._p, self._q, self._d
+        if other is self:  # a square takes three products
+            return _reduced(p1 * p1 + 2 * q1 * q1, 2 * p1 * q1, d1 * d1)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p2, q2, d2 = o
+        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -131,48 +156,62 @@ class QuadElem:
         return result
 
     def __truediv__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * _canonical(*o).inverse()
 
     def __rtruediv__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _canonical(*o) * self.inverse()
 
     def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)  # type: ignore[arg-type]
+        o = _triple(other)  # type: ignore[arg-type]
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return (self._p, self._q, self._d) == o
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # Equal values hash equal: a rational element hashes as its Fraction,
+        # and so as an int when it is one.
+        if self._q == 0:
+            return hash(self.a)
+        return hash((self._p, self._q, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return self._p != 0 or self._q != 0
+
+    def __repr__(self) -> str:
+        return f"QuadElem(a={self.a!r}, b={self.b!r})"
 
     def conj(self) -> QuadElem:
         """The sqrt(2)-conjugate a - b*sqrt(2)."""
-        return QuadElem(self.a, -self.b)
+        return _canonical(self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
         """a**2 - 2*b**2, the product with the conjugate."""
-        return self.a * self.a - 2 * self.b * self.b
+        p, q, d = self._p, self._q, self._d
+        return Fraction(p * p - 2 * q * q, d * d)
 
     def inverse(self) -> QuadElem:
-        """Multiplicative inverse; exists exactly when the element is nonzero."""
-        n = self.norm()
+        """Multiplicative inverse; exists exactly when the element is nonzero.
+
+        1 / ((p + q*sqrt 2)/d) = (p - q*sqrt 2)*d / (p**2 - 2*q**2).
+        """
+        p, q, d = self._p, self._q, self._d
+        n = p * p - 2 * q * q
         if n == 0:
             raise ZeroDivisionError("zero element of Q(sqrt 2) has no inverse")
-        return QuadElem(self.a / n, -self.b / n)
+        if n < 0:
+            p, q, n = -p, -q, -n
+        return _reduced(p * d, -q * d, n)
 
     def __str__(self) -> str:
-        if self.b == 0:
+        if self._q == 0:
             return str(self.a)
-        sign = "-" if self.b < 0 else "+"
+        sign = "-" if self._q < 0 else "+"
         return f"{self.a} {sign} {abs(self.b)}*sqrt2"
 
     def to_json_dict(self) -> dict[str, str]:
@@ -181,6 +220,37 @@ class QuadElem:
     @classmethod
     def from_json_dict(cls, data: dict[str, str]) -> QuadElem:
         return cls(Fraction(data["a"]), Fraction(data["b"]))
+
+
+def _canonical(p: int, q: int, d: int) -> QuadElem:
+    """The element (p + q*sqrt 2)/d from a triple already in canonical form."""
+    x = object.__new__(QuadElem)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> QuadElem:
+    """The element (p + q*sqrt 2)/d, d > 0, divided through by gcd(d, p, q).
+
+    d goes first because math.gcd skips the remaining arguments once its
+    running gcd is 1, so integral values such as the powers of ALPHA pay no
+    big-integer gcd.
+    """
+    g = gcd(d, p, q)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _canonical(p, q, d)
+
+
+def _triple(value: QuadElem | RatLike) -> tuple[int, int, int] | None:
+    """(p, q, d) of a QuadElem, int or Fraction; None for any other type."""
+    if isinstance(value, QuadElem):
+        return value._p, value._q, value._d
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
 
 
 QUAD_ZERO = QuadElem(0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Callable, Iterable
 
 from .arith import RatLike, as_integer, rat_from_str, rat_to_str
@@ -30,19 +30,26 @@ def _affine_value(constant: Fraction, linear: RatLike, bterms: Iterable[BTerm], 
 
     Each stride costs one :func:`balancing_pair` at the large index
     y = stride*n; each term then follows from the small pair at its offset o
-    by the addition formula B(y + o) = B(y)*C(o) + C(y)*B(o).
+    by the addition formula B(y + o) = B(y)*C(o) + C(y)*B(o).  The terms are
+    summed as one integer numerator over a common denominator, so the large
+    values meet a single gcd, in the final Fraction.
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    total = constant + linear * (n + 1)
+    start = constant + linear * (n + 1)
+    num, den = start.numerator, start.denominator
     at_stride: dict[int, tuple[int, int]] = {}
     for coeff, stride, offset in bterms:
         if stride not in at_stride:
             at_stride[stride] = balancing_pair(stride * n)
         b_y, c_y = at_stride[stride]
         b_o, c_o = balancing_pair(offset)
-        total += coeff * (b_y * c_o + c_y * b_o)
-    return total
+        c_num, c_den = coeff.numerator, coeff.denominator
+        if den % c_den:
+            scale = c_den // gcd(den, c_den)
+            num, den = num * scale, den * scale
+        num += c_num * (den // c_den) * (b_y * c_o + c_y * b_o)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -21,6 +22,41 @@ from balsum.arith import (
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 quad_elems = st.builds(QuadElem, small_rationals, small_rationals)
+# Wider denominators, so that sums and products meet common factors to cancel.
+rationals = st.fractions(min_value=-60, max_value=60, max_denominator=96)
+pairs = st.tuples(rationals, rationals)
+
+
+# Reference formulas on (a, b) pairs of Fractions, for a + b*sqrt(2).
+def ref_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def ref_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_norm(x):
+    return x[0] * x[0] - 2 * x[1] * x[1]
+
+
+def ref_inverse(x):
+    n = ref_norm(x)
+    return x[0] / n, -x[1] / n
+
+
+def ref_div(x, y):
+    return ref_mul(x, ref_inverse(y))
+
+
+def coords(x):
+    """(a, b) of a QuadElem, after checking its stored triple is canonical."""
+    assert x._d > 0 and gcd(x._d, x._p, x._q) == 1
+    return x.a, x.b
 
 
 class TestRational:
@@ -148,6 +184,115 @@ class TestQuadElem:
         assert str(ALPHA) == "3 + 2*sqrt2"
         assert str(BETA) == "3 - 2*sqrt2"
         assert str(QuadElem(5)) == "5"
+
+
+class TestAgainstReference:
+    @given(pairs, pairs)
+    def test_field_operations(self, x, y):
+        qx, qy = QuadElem(*x), QuadElem(*y)
+        assert coords(qx) == x
+        assert coords(qx + qy) == ref_add(x, y)
+        assert coords(qx - qy) == ref_sub(x, y)
+        assert coords(qx * qy) == ref_mul(x, y)
+        assert coords(qx * qx) == ref_mul(x, x)
+        assert coords(-qx) == ref_sub((0, 0), x)
+        assert coords(qx.conj()) == (x[0], -x[1])
+        assert qx.norm() == ref_norm(x)
+        assert isinstance(qx.norm(), Fraction)
+        if any(y):
+            assert coords(qy.inverse()) == ref_inverse(y)
+            assert coords(qx / qy) == ref_div(x, y)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                qy.inverse()
+
+    @given(pairs, rationals, st.integers(-50, 50))
+    def test_mixed_operands(self, x, r, k):
+        qx = QuadElem(*x)
+        for s in (r, k):
+            rs = (Fraction(s), Fraction(0))
+            assert coords(qx + s) == coords(s + qx) == ref_add(x, rs)
+            assert coords(qx - s) == ref_sub(x, rs)
+            assert coords(s - qx) == ref_sub(rs, x)
+            assert coords(qx * s) == coords(s * qx) == ref_mul(x, rs)
+            if s:
+                assert coords(qx / s) == ref_div(x, rs)
+            if any(x):
+                assert coords(s / qx) == ref_div(rs, x)
+
+
+class TestCanonicalForm:
+    def test_equal_values_by_different_routes(self):
+        x, y = QuadElem(Fraction(2, 4), 1), QuadElem(Fraction(1, 2), 1)
+        assert x == y and hash(x) == hash(y)
+        z = QuadElem(1, 2) / 2
+        assert z == x and hash(z) == hash(x)
+        w = QuadElem(Fraction(1, 3), Fraction(2, 3)) * Fraction(3, 2)
+        assert w == x and hash(w) == hash(x)
+        assert repr(w) == repr(y)
+
+    def test_cancellation_reduces_to_integers(self):
+        x = QuadElem(Fraction(1, 6), Fraction(5, 6)) + QuadElem(Fraction(5, 6), Fraction(1, 6))
+        assert x == QuadElem(1, 1)
+        assert coords(x) == (1, 1)
+        zero = QuadElem(Fraction(1, 7), Fraction(2, 7)) - QuadElem(Fraction(1, 7), Fraction(2, 7))
+        assert zero == 0 and not zero and coords(zero) == (0, 0)
+
+    def test_coordinates_are_fractions(self):
+        for x in (ALPHA, QuadElem(0), QuadElem(Fraction(1, 2), Fraction(-3, 8)), ALPHA**20):
+            assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert QuadElem(Fraction(1, 2), Fraction(-3, 8)).b == Fraction(-3, 8)
+
+    def test_inverse_of_negative_norm(self):
+        x = QuadElem(1, 1)
+        assert x.norm() == -1
+        assert x.inverse() == QuadElem(-1, 1)
+        y = QuadElem(Fraction(1, 3), Fraction(1, 2))
+        assert y.norm() < 0
+        assert y * y.inverse() == 1
+
+    def test_coordinates_are_read_only(self):
+        x = QuadElem(1, 2)
+        with pytest.raises(AttributeError):
+            x.a = Fraction(5)
+        with pytest.raises(AttributeError):
+            x.b = Fraction(5)
+        with pytest.raises(AttributeError):
+            x.c = 1
+        assert x == QuadElem(1, 2)
+
+    def test_repr(self):
+        assert repr(ALPHA) == "QuadElem(a=Fraction(3, 1), b=Fraction(2, 1))"
+        assert repr(QuadElem(0)) == "QuadElem(a=Fraction(0, 1), b=Fraction(0, 1))"
+        assert (
+            repr(QuadElem(Fraction(1, 2), Fraction(-3, 8)))
+            == "QuadElem(a=Fraction(1, 2), b=Fraction(-3, 8))"
+        )
+
+    def test_constructor_coerces_like_fraction(self):
+        assert QuadElem(True) == QuadElem(1)
+        assert QuadElem("1/3", 0.5) == QuadElem(Fraction(1, 3), Fraction(1, 2))
+        assert QuadElem(a=3, b=2) == ALPHA
+
+    def test_unsupported_operand(self):
+        assert ALPHA != 3.0
+        assert ALPHA != "3 + 2*sqrt2"
+        with pytest.raises(TypeError):
+            ALPHA + 1.5
+
+
+class TestHash:
+    def test_rational_elements_hash_as_their_value(self):
+        assert len({QuadElem(1), 1}) == 1
+        assert len({QuadElem(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        for value in (0, 1, -7, 10**30, Fraction(1, 2), Fraction(-22, 7)):
+            assert QuadElem(value) == value
+            assert hash(QuadElem(value)) == hash(value)
+        assert {QuadElem(2): "x"}[2] == "x"
+
+    @given(rationals)
+    def test_hash_agrees_with_eq_on_rationals(self, r):
+        assert QuadElem(r) == r and hash(QuadElem(r)) == hash(r)
 
 
 class TestIntegerHelpers:
