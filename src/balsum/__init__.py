@@ -8,13 +8,7 @@ from .arith import (
     FOUR_SQRT2,
     InexactResultError,
     QuadElem,
-    Rational,
     SQRT2,
-    rat_add,
-    rat_div,
-    rat_from_str,
-    rat_mul,
-    rat_to_str,
 )
 from .laurent import (
     LaurentPoly,
@@ -59,7 +53,6 @@ __all__ = [
     "LaurentPoly",
     "LinearForm",
     "QuadElem",
-    "Rational",
     "balancing",
     "balancing_binet",
     "balancing_fast",
@@ -75,11 +68,6 @@ __all__ = [
     "lucas_balancing_fast",
     "power_sum",
     "power_sum_formula",
-    "rat_add",
-    "rat_div",
-    "rat_from_str",
-    "rat_mul",
-    "rat_to_str",
     "sequence_table",
     "shifted_closed_sum",
     "subsequence_gf_check",

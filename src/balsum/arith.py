@@ -21,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Rational = Fraction
-
 RatLike = int | Fraction
 
 
@@ -32,30 +30,6 @@ class InexactResultError(ArithmeticError):
     This never signals bad user input; it means one of the library's closed
     forms is internally inconsistent, so it is raised as a hard error.
     """
-
-
-def rat_add(x: RatLike, y: RatLike) -> Fraction:
-    """Exact rational sum in canonical reduced form."""
-    return Fraction(x) + Fraction(y)
-
-
-def rat_mul(x: RatLike, y: RatLike) -> Fraction:
-    """Exact rational product in canonical reduced form."""
-    return Fraction(x) * Fraction(y)
-
-
-def rat_div(x: RatLike, y: RatLike) -> Fraction:
-    """Exact rational quotient; raises ZeroDivisionError when y == 0."""
-    return Fraction(x) / Fraction(y)
-
-
-def rat_to_str(q: RatLike) -> str:
-    """Render as "num/den", omitting the denominator when it is 1."""
-    return str(Fraction(q))
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def as_integer(value: Fraction | int, what: str = "result") -> int:
@@ -215,7 +189,7 @@ class QuadElem:
         return f"{self.a} {sign} {abs(self.b)}*sqrt2"
 
     def to_json_dict(self) -> dict[str, str]:
-        return {"a": rat_to_str(self.a), "b": rat_to_str(self.b)}
+        return {"a": str(self.a), "b": str(self.b)}
 
     @classmethod
     def from_json_dict(cls, data: dict[str, str]) -> QuadElem:

@@ -17,10 +17,8 @@ from .linearize import linearize
 from .summation import brute_force_power_sum, power_sum, power_sum_formula
 
 _GENERATORS: dict[tuple[str, str], Callable[[int], int]] = {
-    ("B", "recurrence"): sequences.balancing,
     ("B", "fast"): sequences.balancing_fast,
     ("B", "binet"): sequences.balancing_binet,
-    ("C", "recurrence"): sequences.lucas_balancing,
     ("C", "fast"): sequences.lucas_balancing_fast,
     ("C", "binet"): sequences.lucas_balancing_binet,
 }

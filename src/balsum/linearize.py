@@ -6,6 +6,12 @@ the shifted argument n+1 and a constant, so the combination is kept as a map
 from a key (multiplier j, shift s in {0, 1}) to the coefficient of
 B(j*(n+s)), plus a standalone constant.  Every form built here evaluates to
 an exact integer, namely the power it represents, at every n >= 0.
+
+A linear form and a closed sum of :mod:`balsum.summation` are the same kind
+of expression, constant + linear*(n+1) + sum of coeff * B(stride*n + offset),
+and share one core, :class:`_AffineForm`: one evaluator, one integrality
+check, one text renderer.  Only the label of a term differs: a closed sum
+writes B(2n+2), a linear form writes its shifted term as B(2(n+1)).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Callable, Iterable
 
-from .arith import RatLike, as_integer, rat_from_str, rat_to_str
+from .arith import RatLike, as_integer
 from .sequences import balancing, balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
@@ -52,8 +58,62 @@ def _affine_value(constant: Fraction, linear: RatLike, bterms: Iterable[BTerm], 
     return Fraction(num, den)
 
 
+class _AffineForm:
+    """The shared core of :class:`LinearForm` and
+    :class:`~balsum.summation.ClosedSumExpr`: constant + linear_coeff*(n+1) +
+    sum of coeff * B(stride*n + offset) over ``bterms``, evaluated by
+    :func:`_affine_value` and rendered as text."""
+
+    power: int
+    constant: Fraction
+    linear_coeff: RatLike
+    bterms: tuple[BTerm, ...]
+
+    def exact_value_at(self, n: int) -> Fraction:
+        """Evaluate at n without the integrality check."""
+        return _affine_value(self.constant, self.linear_coeff, self.bterms, n)
+
+    def value_at(self, n: int) -> int:
+        """Evaluate at n; the result must be an integer."""
+        what = f"{type(self).__name__} for power {self.power} at n={n}"
+        return as_integer(self.exact_value_at(n), what)
+
+    @staticmethod
+    def _label(stride: int, offset: int) -> str:
+        """B(jn+o), B(jn) at offset 0, and n alone at stride 1."""
+        head = "n" if stride == 1 else f"{stride}n"
+        return f"B({head})" if offset == 0 else f"B({head}{offset:+d})"
+
+    def render(self) -> str:
+        """'a*x + b*y - c': B terms, then (n+1), then the constant; zero
+        parts are left out and unit coefficients drop the numeric factor."""
+        pieces: list[tuple[Fraction, str | None]] = [
+            (coeff, self._label(stride, offset)) for coeff, stride, offset in self.bterms
+        ]
+        if self.linear_coeff:
+            pieces.append((self.linear_coeff, "(n+1)"))
+        if self.constant:
+            pieces.append((self.constant, None))
+        if not pieces:
+            return "0"
+        out = []
+        for i, (coeff, body) in enumerate(pieces):
+            mag = abs(coeff)
+            if body is None:
+                text = str(mag)
+            elif mag == 1:
+                text = body
+            else:
+                text = f"({mag})*{body}"
+            if i == 0:
+                out.append(f"-{text}" if coeff < 0 else text)
+            else:
+                out.append(f"- {text}" if coeff < 0 else f"+ {text}")
+        return " ".join(out)
+
+
 @dataclass(frozen=True)
-class LinearForm:
+class LinearForm(_AffineForm):
     """constant + sum of coeff * B(j*(n+s)), representing B(n)**power.
 
     ``terms`` is sorted by multiplier descending, shift ascending, holds no
@@ -64,69 +124,34 @@ class LinearForm:
     constant: Fraction
     terms: tuple[tuple[TermKey, Fraction], ...]
 
+    linear_coeff = 0
+
     @property
     def bterms(self) -> tuple[BTerm, ...]:
         """The terms as (coeff, stride, offset): B(j*(n+s)) is B(j*n + j*s)."""
         return tuple((coeff, mult, mult * shift) for (mult, shift), coeff in self.terms)
 
-    def exact_value_at(self, n: int) -> Fraction:
-        """Evaluate at n without the integrality check."""
-        return _affine_value(self.constant, 0, self.bterms, n)
-
-    def value_at(self, n: int) -> int:
-        """Evaluate at n; the result must be the integer B(n)**power."""
-        return as_integer(self.exact_value_at(n), f"linear form for power {self.power} at n={n}")
-
-    def render(self) -> str:
-        pieces = [(coeff, _term_label(mult, shift)) for (mult, shift), coeff in self.terms]
-        if self.constant:
-            pieces.append((self.constant, None))
-        return _join_signed(pieces)
+    @staticmethod
+    def _label(stride: int, offset: int) -> str:
+        """B(j(n+1)) for a term at shift 1 with j > 1, as the paper writes it."""
+        if offset == stride > 1:
+            return f"B({stride}(n+1))"
+        return _AffineForm._label(stride, offset)
 
     def to_json_dict(self) -> dict:
         return {
             "power": self.power,
-            "constant": rat_to_str(self.constant),
+            "constant": str(self.constant),
             "terms": [
-                {"multiplier": mult, "shift": shift, "coeff": rat_to_str(coeff)}
+                {"multiplier": mult, "shift": shift, "coeff": str(coeff)}
                 for (mult, shift), coeff in self.terms
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> LinearForm:
-        pairs = [
-            ((t["multiplier"], t["shift"]), rat_from_str(t["coeff"])) for t in data["terms"]
-        ]
-        return _build_form(data["power"], rat_from_str(data["constant"]), pairs)
-
-
-def _term_label(mult: int, shift: int) -> str:
-    arg = ("n" if mult == 1 else f"{mult}n") if shift == 0 else (
-        "n+1" if mult == 1 else f"{mult}(n+1)"
-    )
-    return f"B({arg})"
-
-
-def _join_signed(pieces: list[tuple[Fraction, str | None]]) -> str:
-    """Render (coefficient, body) pairs as 'a*x + b*y - c'; unit coefficients
-    drop the numeric factor."""
-    if not pieces:
-        return "0"
-    out = []
-    for i, (coeff, body) in enumerate(pieces):
-        mag = abs(coeff)
-        if body is None:
-            text = str(mag)
-        elif mag == 1:
-            text = body
-        else:
-            text = f"({mag})*{body}"
-        if i == 0:
-            out.append(f"-{text}" if coeff < 0 else text)
-        else:
-            out.append(f"- {text}" if coeff < 0 else f"+ {text}")
-    return " ".join(out)
+        pairs = [((t["multiplier"], t["shift"]), Fraction(t["coeff"])) for t in data["terms"]]
+        return _build_form(data["power"], Fraction(data["constant"]), pairs)
 
 
 def _merge(

@@ -8,9 +8,12 @@ whose partial sums telescope.  :func:`_shifted_sum_parts` derives the
 telescoped sum of B(k*M + R) once, symbolically in n; :func:`closed_sum` and
 :func:`shifted_closed_sum` evaluate it, and :func:`power_sum_formula` applies
 it to every term of the linearization of B(n)**l, which yields exact closed
-forms for sum_{0<=k<=n} B(k*m)**l that :func:`power_sum` evaluates.  Every
-evaluation goes through the evaluator of linear forms and is checked to be an
-exact integer.
+forms for sum_{0<=k<=n} B(k*m)**l that :func:`power_sum` evaluates.
+
+Every evaluation goes through the evaluator of linear forms and is checked to
+be an exact integer.  :class:`ClosedSumExpr` is built on the same core as
+:class:`~balsum.linearize.LinearForm` (evaluation, integrality check, text
+rendering); it adds the coefficient of (n+1) and keeps its own JSON schema.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .arith import as_integer, rat_from_str, rat_to_str
-from .linearize import BTerm, _affine_value, _join_signed, _merge, linearize
+from .arith import as_integer
+from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
 from .sequences import _recurrence, balancing, lucas_balancing
 
 
@@ -116,7 +119,7 @@ def power_sum(m: int, l: int, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class ClosedSumExpr:
+class ClosedSumExpr(_AffineForm):
     """Symbolic closed form of sum_{0<=k<=n} B(k*m)**power.
 
     Evaluates as constant + linear_coeff*(n+1) + sum of
@@ -130,53 +133,28 @@ class ClosedSumExpr:
     linear_coeff: Fraction
     constant: Fraction
 
-    def exact_value_at(self, n: int) -> Fraction:
-        return _affine_value(self.constant, self.linear_coeff, self.bterms, n)
-
-    def value_at(self, n: int) -> int:
-        return as_integer(
-            self.exact_value_at(n), f"closed sum formula m={self.m}, power={self.power} at n={n}"
-        )
-
-    def render(self) -> str:
-        pieces: list[tuple[Fraction, str | None]] = [
-            (coeff, _bterm_label(stride, offset)) for coeff, stride, offset in self.bterms
-        ]
-        if self.linear_coeff:
-            pieces.append((self.linear_coeff, "(n+1)"))
-        if self.constant:
-            pieces.append((self.constant, None))
-        return _join_signed(pieces)
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
             "power": self.power,
             "bterms": [
-                {"coeff": rat_to_str(coeff), "stride": stride, "offset": offset}
+                {"coeff": str(coeff), "stride": stride, "offset": offset}
                 for coeff, stride, offset in self.bterms
             ],
-            "linear_coeff": rat_to_str(self.linear_coeff),
-            "constant": rat_to_str(self.constant),
+            "linear_coeff": str(self.linear_coeff),
+            "constant": str(self.constant),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ClosedSumExpr:
-        bterms = tuple(
-            (rat_from_str(t["coeff"]), t["stride"], t["offset"]) for t in data["bterms"]
-        )
+        bterms = tuple((Fraction(t["coeff"]), t["stride"], t["offset"]) for t in data["bterms"])
         return cls(
             data["m"],
             data["power"],
             bterms,
-            rat_from_str(data["linear_coeff"]),
-            rat_from_str(data["constant"]),
+            Fraction(data["linear_coeff"]),
+            Fraction(data["constant"]),
         )
-
-
-def _bterm_label(stride: int, offset: int) -> str:
-    head = "n" if stride == 1 else f"{stride}n"
-    return f"B({head})" if offset == 0 else f"B({head}+{offset})"
 
 
 def power_sum_formula(m: int, l: int) -> ClosedSumExpr:

@@ -6,8 +6,10 @@ console script behaves in a shell.
 """
 
 import json
+import shlex
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +45,35 @@ def no_digit_limit():
         yield
     finally:
         set_digit_limit(previous)
+
+
+def readme_examples():
+    """(command, printed output) of every `$ balsum ...` line in README.md;
+    the output is the block's lines up to the next `$` line or the fence."""
+    examples = []
+    in_block = False
+    for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("$ balsum "):
+            examples.append((line.removeprefix("$ balsum "), []))
+        elif in_block and examples and not line.startswith("$"):
+            examples[-1][1].append(line)
+    return [(command, "\n".join(out) + "\n") for command, out in examples]
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("command, expected", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example(capsys, command, expected):
+    code, out = run_cli(capsys, shlex.split(command))
+    assert code == 0
+    assert out == expected
+
+
+def test_readme_has_the_examples():
+    assert len(README_EXAMPLES) == 7
 
 
 class TestGen:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balsum.arith import InexactResultError
 from balsum.linearize import LinearForm, _affine_value, linearize, linearize_even, linearize_odd
@@ -116,6 +118,18 @@ def test_render():
     assert linearize(2).render() == "-(17/96)*B(2n) + (1/96)*B(2(n+1)) - 1/16"
 
 
+def test_render_labels_follow_the_term_index():
+    # B(j(n+1)) only at shift 1 with j > 1; any other offset is B(jn+o).
+    assert LinearForm(1, Fraction(0), (((1, 2), Fraction(1)),)).render() == "B(n+2)"
+    doc = {"power": 1, "constant": "0", "terms": [{"multiplier": 3, "shift": 2, "coeff": "1"}]}
+    assert LinearForm.from_json_dict(doc).render() == "B(3n+6)"
+    assert LinearForm(1, Fraction(0), (((1, 1), Fraction(1)),)).render() == "B(n+1)"
+
+
+def test_render_empty_form_is_zero():
+    assert LinearForm(1, Fraction(0), ()).render() == "0"
+
+
 def test_json_dict_schema_and_order():
     doc = linearize(3).to_json_dict()
     assert doc == {
@@ -145,3 +159,16 @@ def test_affine_value_matches_termwise_recurrence_sum():
                 coeff * table[stride * n + offset] for coeff, stride, offset in form.bterms
             )
             assert _affine_value(form.constant, 0, form.bterms, n) == expected
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.integers(0, 40))
+def test_linearize_matches_power_property(power, n):
+    assert linearize(power).value_at(n) == balancing(n) ** power
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10))
+def test_json_round_trip_property(power):
+    form = linearize(power)
+    assert LinearForm.from_json_dict(form.to_json_dict()) == form

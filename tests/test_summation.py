@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balsum import summation
 from balsum.sequences import balancing, lucas_balancing
@@ -154,6 +156,16 @@ def test_formula_m2_l1_render():
     assert power_sum_formula(2, 1).render() == "(1/32)*B(2n+2) - (1/32)*B(2n) - 3/16"
 
 
+def test_formula_render_with_linear_term():
+    assert power_sum_formula(1, 2).render() == (
+        "(1/3072)*B(2n+4) - (3/512)*B(2n+2) + (17/3072)*B(2n) - (1/16)*(n+1) + 1/32"
+    )
+
+
+def test_formula_render_empty_is_zero():
+    assert ClosedSumExpr(1, 1, (), Fraction(0), Fraction(0)).render() == "0"
+
+
 def test_formula_agrees_with_power_sum():
     for m in range(1, 4):
         for l in range(1, 6):
@@ -176,3 +188,16 @@ def test_formula_json_round_trip():
         doc = expr.to_json_dict()
         assert list(doc) == ["m", "power", "bterms", "linear_coeff", "constant"]
         assert ClosedSumExpr.from_json_dict(doc) == expr
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 10), st.integers(0, 40))
+def test_formula_matches_brute_force_property(m, l, n):
+    assert power_sum_formula(m, l).value_at(n) == brute_force_power_sum(m, l, n)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 10))
+def test_formula_json_round_trip_property(m, l):
+    expr = power_sum_formula(m, l)
+    assert ClosedSumExpr.from_json_dict(expr.to_json_dict()) == expr
