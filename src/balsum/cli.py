@@ -1,14 +1,15 @@
 """Command-line front end: generate, linearize, sum, emit formulas, verify.
 
-Exit codes: 0 on success, 1 when a verification or oracle comparison fails,
-2 on usage errors (argparse's convention).  JSON output is a single document
-per invocation with big integers rendered as decimal strings.
+Exit codes: 0 on success, also when the reader of stdout leaves early (as
+`| head` does); 1 when a verification or oracle comparison fails; 2 on usage
+errors.  JSON output is one document per invocation, big integers as strings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -209,18 +210,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Outputs may hold integers of more than 4,300 digits, the default limit
-    # of int/str conversion; lift it for this call only (Python 3.10 before
-    # 3.10.7 has no limit).
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        return args.func(args)
-    previous = get_limit()
-    sys.set_int_max_str_digits(0)
+    # Outputs may hold integers over 4,300 digits, the default int/str limit;
+    # lift it for this call only (Python 3.10 before 3.10.7 has no limit).
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull: the interpreter's final flush stays silent.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        status = 0
     finally:
-        sys.set_int_max_str_digits(previous)
+        set_limit(previous)
+    return status
 
 
 if __name__ == "__main__":

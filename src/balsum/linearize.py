@@ -1,11 +1,9 @@
 """Rewrite a power B(n)**l as a rational combination of balancing numbers.
 
-Odd powers B(n)**(2l+1) expand into terms B((2(l-s)+1)*n) with binomial
-coefficients over 2**(5l).  Even powers B(n)**(2l) additionally need terms at
-the shifted argument n+1 and a constant, so the combination is kept as a map
-from a key (multiplier j, shift s in {0, 1}) to the coefficient of
-B(j*(n+s)), plus a standalone constant.  Every form built here evaluates to
-an exact integer, namely the power it represents, at every n >= 0.
+:func:`_power_form`, the one derivation, reads every form off the Binet
+expansion of B(n)**l.  A form maps a key (multiplier j, shift s in {0, 1}) to
+the coefficient of B(j*(n+s)) and adds a constant; at every n >= 0 it
+evaluates to the exact integer B(n)**l.
 
 A linear form and a closed sum of :mod:`balsum.summation` are the same kind
 of expression, constant + linear*(n+1) + sum of coeff * B(stride*n + offset),
@@ -18,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import Callable, Iterable
+from math import comb, lcm
+from typing import Callable, Iterable, Sequence
 
 from .arith import RatLike, as_integer
-from .sequences import balancing, balancing_pair
+from .sequences import balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
 TermKey = tuple[int, int]
@@ -30,31 +28,35 @@ TermKey = tuple[int, int]
 BTerm = tuple[Fraction, int, int]
 
 
-def _affine_value(constant: Fraction, linear: RatLike, bterms: Iterable[BTerm], n: int) -> Fraction:
+def _signed_pair(k: int) -> tuple[int, int]:
+    """(B(k), C(k)) at any integer k, by B(-k) = -B(k) and C(-k) = C(k)."""
+    b, c = balancing_pair(abs(k))
+    return (-b if k < 0 else b), c
+
+
+def _affine_value(constant: Fraction, linear: RatLike, bterms: Sequence[BTerm], n: int) -> Fraction:
     """constant + linear*(n+1) + sum of coeff * B(stride*n + offset), exactly;
     the one evaluator of linear forms and closed sums.
 
-    Each stride costs one :func:`balancing_pair` at the large index
-    y = stride*n; each term then follows from the small pair at its offset o
-    by the addition formula B(y + o) = B(y)*C(o) + C(y)*B(o).  The terms are
-    summed as one integer numerator over a common denominator, so the large
-    values meet a single gcd, in the final Fraction.
+    By B(y + o) = C(o)*B(y) + B(o)*C(y), the terms of one stride fold into
+    P*B(y) + Q*C(y) at y = stride*n, P and Q integers over one common
+    denominator: one :func:`balancing_pair` at a large index and two big
+    products per stride.  Strides and offsets may be negative; n may not.
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     start = constant + linear * (n + 1)
-    num, den = start.numerator, start.denominator
-    at_stride: dict[int, tuple[int, int]] = {}
+    den = lcm(start.denominator, *(coeff.denominator for coeff, _, _ in bterms))
+    folded: dict[int, tuple[int, int]] = {}
     for coeff, stride, offset in bterms:
-        if stride not in at_stride:
-            at_stride[stride] = balancing_pair(stride * n)
-        b_y, c_y = at_stride[stride]
-        b_o, c_o = balancing_pair(offset)
-        c_num, c_den = coeff.numerator, coeff.denominator
-        if den % c_den:
-            scale = c_den // gcd(den, c_den)
-            num, den = num * scale, den * scale
-        num += c_num * (den // c_den) * (b_y * c_o + c_y * b_o)
+        b_o, c_o = _signed_pair(offset)
+        scaled = coeff.numerator * (den // coeff.denominator)
+        p, q = folded.get(stride, (0, 0))
+        folded[stride] = (p + scaled * c_o, q + scaled * b_o)
+    num = start.numerator * (den // start.denominator)
+    for stride, (p, q) in folded.items():
+        b_y, c_y = _signed_pair(stride * n)
+        num += p * b_y + q * c_y
     return Fraction(num, den)
 
 
@@ -168,52 +170,47 @@ def _build_form(power: int, constant: Fraction, pairs: Iterable[tuple[TermKey, F
     return LinearForm(power, constant, tuple(_merge(pairs, lambda key: (-key[0], key[1]))))
 
 
-def linearize_odd(l: int) -> LinearForm:
-    """The form for B(n)**(2l+1).
+def _power_form(power: int) -> LinearForm:
+    """The form for B(n)**power, power >= 1, read off the binomial expansion
+    of (X - 1/X)**power / (4*sqrt 2)**power, X = ALPHA**n: for s < power/2,
+    with j = power - 2s and c = (-1)**s * C(power, s) / 2**(5*(power//2)),
+    the pair X**j, X**-j gives c*B(j*n) in an odd power and c*2*C(j*n) =
+    (2c/B(j))*B(j*(n+1)) - (2c*C(j)/B(j))*B(j*n) in an even one, whose middle
+    term X**0 is the constant."""
+    half = power // 2
+    denom = 2 ** (5 * half)
+    pairs: list[tuple[TermKey, Fraction]] = []
+    for s in range((power + 1) // 2):
+        j = power - 2 * s
+        top = (-1) ** s * comb(power, s)
+        if power % 2:
+            pairs.append(((j, 0), Fraction(top, denom)))
+        else:
+            b_j, c_j = balancing_pair(j)
+            pairs.append(((j, 1), Fraction(2 * top, denom * b_j)))
+            pairs.append(((j, 0), Fraction(-2 * top * c_j, denom * b_j)))
+    constant = Fraction(0) if power % 2 else Fraction((-1) ** half * comb(power, half), denom)
+    return _build_form(power, constant, pairs)
 
-    Terms are B((2(l-s)+1)*n) with coefficient (-1)**s * C(2l+1, s) / 2**(5l)
-    for 0 <= s <= l; there is no shifted term and no constant.
-    """
+
+def linearize_odd(l: int) -> LinearForm:
+    """The form for B(n)**(2l+1), l >= 0, from :func:`_power_form`."""
     if l < 0:
         raise ValueError(f"l must be non-negative, got {l}")
-    denom = 2 ** (5 * l)
-    pairs = [
-        ((2 * (l - s) + 1, 0), Fraction((-1) ** s * comb(2 * l + 1, s), denom))
-        for s in range(l + 1)
-    ]
-    return _build_form(2 * l + 1, Fraction(0), pairs)
+    return _power_form(2 * l + 1)
 
 
 def linearize_even(l: int) -> LinearForm:
-    """The form for B(n)**(2l), l >= 1.
-
-    For each 0 <= s < l, writing j = 2(l-s), the keys (j, 0) and (j, 1) both
-    receive 2*(-1)**s * C(2l, s) / (2**(5l) * B(j)), and (j, 0) additionally
-    receives -(-1)**s * C(2l, s) * B(j) / (2**(5l) * B(l-s)**2).  The constant
-    is (-1)**l * C(2l, l) / 2**(5l); the 2**(5l) denominator on the constant
-    is required for the form to reproduce B(n)**(2l) (checked against the
-    brute-force oracle in the test suite).
-    """
+    """The form for B(n)**(2l), l >= 1, from :func:`_power_form`.  The paper
+    writes the coefficient -2c*C(j)/B(j) of B(jn) as 2c/B(j) - c*B(j)/B(j/2)**2,
+    the same number by 2C(j)/B(j) = B(j)/B(j/2)**2 - 2/B(j)."""
     if l < 1:
         raise ValueError(f"l must be positive, got {l}")
-    denom = 2 ** (5 * l)
-    pairs: list[tuple[TermKey, Fraction]] = []
-    for s in range(l):
-        j = 2 * (l - s)
-        sign = (-1) ** s
-        binom = comb(2 * l, s)
-        both = Fraction(2 * sign * binom, denom * balancing(j))
-        pairs.append(((j, 0), both))
-        pairs.append(((j, 1), both))
-        pairs.append(((j, 0), Fraction(-sign * binom * balancing(j), denom * balancing(l - s) ** 2)))
-    constant = Fraction((-1) ** l * comb(2 * l, l), denom)
-    return _build_form(2 * l, constant, pairs)
+    return _power_form(2 * l)
 
 
 def linearize(power: int) -> LinearForm:
-    """The form for B(n)**power, power >= 1, dispatching on parity."""
+    """The form for B(n)**power, power >= 1."""
     if power < 1:
         raise ValueError(f"power must be positive, got {power}")
-    if power % 2:
-        return linearize_odd((power - 1) // 2)
-    return linearize_even(power // 2)
+    return _power_form(power)

@@ -5,15 +5,14 @@ The backbone is the generating function of the subsequence B(k*m):
     sum_k B(k*m) z**k  =  B(m)*z / (1 - 2*C(m)*z + z**2)
 
 whose partial sums telescope.  :func:`_shifted_sum_parts` derives the
-telescoped sum of B(k*M + R) once, symbolically in n; :func:`closed_sum` and
-:func:`shifted_closed_sum` evaluate it, and :func:`power_sum_formula` applies
-it to every term of the linearization of B(n)**l, which yields exact closed
-forms for sum_{0<=k<=n} B(k*m)**l that :func:`power_sum` evaluates.
+telescoped sum of B(k*M + R) once, from :func:`gf_params`; :func:`closed_sum`
+and :func:`shifted_closed_sum` evaluate it, and :func:`power_sum_formula`
+applies it to every term of the linearization of B(n)**l: an exact closed
+form of sum_{0<=k<=n} B(k*m)**l, which :func:`power_sum` evaluates.
 
-Every evaluation goes through the evaluator of linear forms and is checked to
-be an exact integer.  :class:`ClosedSumExpr` is built on the same core as
-:class:`~balsum.linearize.LinearForm` (evaluation, integrality check, text
-rendering); it adds the coefficient of (n+1) and keeps its own JSON schema.
+:class:`ClosedSumExpr` shares the exact evaluator, integrality check and text
+renderer of :class:`~balsum.linearize.LinearForm`; it adds the coefficient of
+(n+1) and keeps its own JSON schema.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from itertools import islice
 
 from .arith import as_integer
 from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
-from .sequences import _recurrence, balancing, lucas_balancing
+from .sequences import _recurrence, balancing, balancing_pair, lucas_balancing
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,8 @@ def gf_params(m: int) -> GFParams:
     """Parameters of the generating function of k -> B(k*m), m >= 1."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    return GFParams(balancing(m), 2 * lucas_balancing(m), m)
+    numer, half_middle = balancing_pair(m)
+    return GFParams(numer, 2 * half_middle, m)
 
 
 def subsequence_gf_check(m: int, n_terms: int) -> bool:
@@ -67,11 +67,11 @@ def subsequence_gf_check(m: int, n_terms: int) -> bool:
 def _shifted_sum_parts(stride: int, offset: int) -> tuple[tuple[BTerm, BTerm], Fraction]:
     """The telescoped sum_{0<=k<=n} B(k*stride + offset), symbolic in n.
 
-    With q = 1/(2*C(stride) - 2), returns the pair of terms
-    q*B(stride*n + stride + offset) - q*B(stride*n + offset) and the constant
-    q*(B(offset) - B(stride + offset)) + B(offset).
+    With q = 1/(gf_params(stride).middle - 2) (a stride below 1 raises there),
+    returns q*B(stride*n + stride + offset) - q*B(stride*n + offset) as a pair
+    of terms and the constant q*(B(offset) - B(stride + offset)) + B(offset).
     """
-    q = Fraction(1, 2 * lucas_balancing(stride) - 2)
+    q = Fraction(1, gf_params(stride).middle - 2)
     b_offset = balancing(offset)
     pair = ((q, stride, stride + offset), (-q, stride, offset))
     return pair, q * (b_offset - balancing(stride + offset)) + b_offset
@@ -88,8 +88,6 @@ def shifted_closed_sum(m: int, r: int, n: int) -> int:
     The formula is pinned to the direct-summation oracle over a grid of
     (m, r, n) in the test suite.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
     if r < 0:
         raise ValueError(f"r must be non-negative, got {r}")
     pair, constant = _shifted_sum_parts(m, r)

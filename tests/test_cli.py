@@ -6,7 +6,9 @@ console script behaves in a shell.
 """
 
 import json
+import os
 import shlex
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -401,3 +403,38 @@ class TestOverDigitLimit:
         with no_digit_limit():
             assert len(value) > 4300
             assert int(value) == sum(b**3 for b in sequence_table(2000))
+
+
+class TestReaderLeavesEarly:
+    """A reader that closes stdout early, as `| head -1` or `| true` does,
+    ends the request with status 0 and nothing on stderr."""
+
+    def balsum(self, argv, **kwargs):
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.Popen(
+            [sys.executable, "-m", "balsum", *argv], stderr=subprocess.PIPE, env=env, **kwargs
+        )
+
+    def test_head_reads_one_row(self):
+        # About 3 MB of rows: far more than a pipe buffers.
+        proc = self.balsum(["gen", "--upto", "3000"], stdout=subprocess.PIPE)
+        assert proc.stdout.readline() == b"0\t0\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert stderr == b""
+        assert proc.returncode == 0
+
+    def test_no_reader_at_all(self):
+        # The read end is closed before the request starts, so its one short
+        # line only fails at the flush.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.balsum(["sum", "--m", "1", "--power", "1", "--upto", "4"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        _, stderr = proc.communicate(timeout=60)
+        assert stderr == b""
+        assert proc.returncode == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balsum import laurent
+from balsum import laurent, summation
 from balsum.arith import ALPHA, QUAD_ONE, QuadElem
 from balsum.laurent import (
     LaurentPoly,
@@ -204,6 +204,17 @@ def test_recurrence_verifier_rejects_wrong_middle(monkeypatch):
 
     monkeypatch.setattr(laurent, "gf_params", wrong)
     assert not verify_subsequence_recurrence(3)
+
+
+def test_power_sum_formula_verifier_sees_the_gf_middle(monkeypatch):
+    # The telescoped sum divides by middle - 2, the gf_params coefficient
+    # that verify_subsequence_recurrence proves; a wrong middle must show.
+    def wrong(m):
+        params = gf_params(m)
+        return GFParams(params.numer, params.middle + 1, params.m)
+
+    monkeypatch.setattr(summation, "gf_params", wrong)
+    assert not verify_power_sum_formula(2, 3)
 
 
 def test_power_sum_formula_verifier_range():

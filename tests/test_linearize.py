@@ -1,4 +1,6 @@
+import importlib
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from balsum.arith import InexactResultError
 from balsum.linearize import LinearForm, _affine_value, linearize, linearize_even, linearize_odd
-from balsum.sequences import balancing, sequence_table
+from balsum.sequences import balancing, balancing_pair, sequence_table
 
 
 def test_odd_l0_is_identity():
@@ -172,3 +174,67 @@ def test_linearize_matches_power_property(power, n):
 def test_json_round_trip_property(power):
     form = linearize(power)
     assert LinearForm.from_json_dict(form.to_json_dict()) == form
+
+
+def test_even_coefficients_match_the_papers_form():
+    # The paper gives B(jn) the coefficient 2c/B(j) - c*B(j)/B(j/2)**2 and
+    # B(j(n+1)) the coefficient 2c/B(j), with j = 2(l-s) and
+    # c = (-1)**s * C(2l, s) / 2**(5l); the derivation reaches it through C(j).
+    for l in range(1, 21):
+        expected = {}
+        for s in range(l):
+            j = 2 * (l - s)
+            c = Fraction((-1) ** s * comb(2 * l, s), 2 ** (5 * l))
+            expected[(j, 1)] = 2 * c / balancing(j)
+            expected[(j, 0)] = 2 * c / balancing(j) - c * balancing(j) / balancing(j // 2) ** 2
+        assert dict(linearize_even(l).terms) == expected
+
+
+def test_json_form_with_negative_shift_evaluates():
+    # B(3n-3) at n = 5 is B(12); an offset below zero reads B(-k) = -B(k).
+    doc = {"power": 1, "constant": "0", "terms": [{"multiplier": 3, "shift": -1, "coeff": "1"}]}
+    form = LinearForm.from_json_dict(doc)
+    assert form.render() == "B(3n-3)"
+    assert form.value_at(5) == balancing(12)
+    assert form.value_at(0) == -balancing(3)
+
+
+def test_affine_value_takes_one_large_pair_per_stride(monkeypatch):
+    calls = []
+
+    def recording_pair(k):
+        calls.append(k)
+        return balancing_pair(k)
+
+    # The package exports the function linearize under the module's name.
+    monkeypatch.setattr(importlib.import_module("balsum.linearize"), "balancing_pair", recording_pair)
+    form = linearize(12)
+    n = 1000
+    assert form.value_at(n) == balancing(n) ** 12
+    strides = {stride for _, stride, _ in form.bterms}
+    assert sorted(k for k in calls if k >= n) == sorted(stride * n for stride in strides)
+
+
+def _signed_table_value(table, k):
+    return table[k] if k >= 0 else -table[-k]
+
+
+coeffs = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+signed_index = st.integers(-8, 8)
+
+
+@settings(deadline=None)
+@given(
+    coeffs,
+    coeffs,
+    st.lists(st.tuples(coeffs, signed_index, signed_index), max_size=8),
+    st.integers(0, 30),
+)
+def test_affine_value_matches_signed_table_property(constant, linear, bterms, n):
+    # Strides and offsets of either sign, against a direct sum over the
+    # recurrence table extended by B(-k) = -B(k).
+    table = sequence_table(8 * 30 + 8)
+    expected = constant + linear * (n + 1) + sum(
+        coeff * _signed_table_value(table, stride * n + offset) for coeff, stride, offset in bterms
+    )
+    assert _affine_value(constant, linear, bterms, n) == expected

@@ -201,3 +201,43 @@ def test_formula_matches_brute_force_property(m, l, n):
 def test_formula_json_round_trip_property(m, l):
     expr = power_sum_formula(m, l)
     assert ClosedSumExpr.from_json_dict(expr.to_json_dict()) == expr
+
+
+def test_brute_force_does_not_call_the_doubling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle must not call the doubling evaluator")
+
+    monkeypatch.setattr(summation, "balancing_pair", refuse)
+    assert brute_force_power_sum(3, 2, 4) == sum(balancing(3 * k) ** 2 for k in range(5))
+
+
+def _json_with_bterms(expr, bterms, constant):
+    doc = expr.to_json_dict()
+    doc["bterms"] = [{"coeff": str(c), "stride": s, "offset": o} for c, s, o in bterms]
+    doc["constant"] = str(constant)
+    return doc
+
+
+def test_json_closed_sum_with_negative_offsets_evaluates():
+    # S(n-1): every term B(s*n + o) moves to offset o - s, which is negative
+    # at o = 0, and the linear part loses one step.  At n = 0 it is the empty sum.
+    for m, l in ((1, 1), (2, 3), (3, 2)):
+        expr = power_sum_formula(m, l)
+        moved = [(coeff, s, o - s) for coeff, s, o in expr.bterms]
+        assert any(o < 0 for _, _, o in moved)
+        previous = ClosedSumExpr.from_json_dict(
+            _json_with_bterms(expr, moved, expr.constant - expr.linear_coeff)
+        )
+        assert previous.value_at(0) == 0
+        for n in range(1, 12):
+            assert previous.value_at(n) == brute_force_power_sum(m, l, n - 1)
+
+
+def test_json_closed_sum_with_negative_strides_evaluates():
+    # coeff * B(s*n + o) is (-coeff) * B(-s*n - o).
+    for m, l in ((1, 1), (2, 3), (3, 2)):
+        expr = power_sum_formula(m, l)
+        mirrored = [(-coeff, -s, -o) for coeff, s, o in expr.bterms]
+        flipped = ClosedSumExpr.from_json_dict(_json_with_bterms(expr, mirrored, expr.constant))
+        for n in range(12):
+            assert flipped.value_at(n) == brute_force_power_sum(m, l, n)
