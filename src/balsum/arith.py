@@ -18,10 +18,13 @@ ALPHA*BETA = 1 makes negative powers of one expressible through the other.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Callable, TypeVar
 
 RatLike = int | Fraction
+_T = TypeVar("_T")
 
 
 class InexactResultError(ArithmeticError):
@@ -118,16 +121,7 @@ class QuadElem:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> QuadElem:
-        if n < 0:
-            raise ValueError("exponent must be non-negative")
-        result = QUAD_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QUAD_ONE)
 
     def __truediv__(self, other: QuadElem | RatLike) -> QuadElem:
         o = _triple(other)
@@ -194,6 +188,21 @@ class QuadElem:
     @classmethod
     def from_json_dict(cls, data: dict[str, str]) -> QuadElem:
         return cls(Fraction(data["a"]), Fraction(data["b"]))
+
+
+def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul) -> _T:
+    """base**n by square-and-multiply, every product through ``mul``; the one
+    exponentiation loop of QuadElem, LaurentPoly and the matrix oracle of
+    :mod:`balsum.sequences`.  A negative n raises ValueError."""
+    if n < 0:
+        raise ValueError("exponent must be non-negative")
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        n >>= 1
+    return result
 
 
 def _canonical(p: int, q: int, d: int) -> QuadElem:

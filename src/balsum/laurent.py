@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike
+from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _power
 from .linearize import LinearForm, linearize_even, linearize_odd
 from .summation import gf_params, power_sum_formula
 
@@ -106,16 +106,7 @@ class LaurentPoly:
         return self * other
 
     def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("exponent must be non-negative")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentPoly.one())
 
     def evaluate(self, x: QuadElem) -> QuadElem:
         """Exact value at X = x; x must be invertible if negative exponents

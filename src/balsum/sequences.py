@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .arith import ALPHA, InexactResultError
+from .arith import ALPHA, InexactResultError, _power
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -81,14 +81,7 @@ def _mat_mul(x: Mat2, y: Mat2) -> Mat2:
 
 
 def _mat_pow(n: int) -> Mat2:
-    result = _IDENTITY
-    base = _STEP
-    while n:
-        if n & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        n >>= 1
-    return result
+    return _power(_STEP, n, _IDENTITY, _mat_mul)
 
 
 def balancing_fast(n: int) -> int:
@@ -133,16 +126,13 @@ def lucas_balancing_binet(n: int) -> int:
 def gf_coefficients(count: int) -> list[int]:
     """First ``count`` power-series coefficients of z / (1 - 6*z + z**2).
 
-    Computed by the coefficient recurrence c(n) = 6*c(n-1) - c(n-2) with
-    c(0) = 0, c(1) = 1, independently of :func:`balancing`: a test oracle
-    for the generating function of B.
+    The coefficients obey c(n) = 6*c(n-1) - c(n-2) with c(0) = 0, c(1) = 1,
+    so they are read off the recurrence walk, independently of
+    :func:`balancing_pair`: a test oracle for the generating function of B.
     """
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    coeffs = [0, 1]
-    while len(coeffs) < count:
-        coeffs.append(6 * coeffs[-1] - coeffs[-2])
-    return coeffs[:count]
+    return list(islice(_recurrence("B"), count))
 
 
 def sequence_table(upto: int, seq: str = "B") -> list[int]:

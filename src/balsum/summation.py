@@ -23,7 +23,7 @@ from itertools import islice
 
 from .arith import as_integer
 from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
-from .sequences import _recurrence, balancing, balancing_pair, lucas_balancing
+from .sequences import _recurrence, balancing, balancing_pair
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,18 @@ def gf_params(m: int) -> GFParams:
 
 def subsequence_gf_check(m: int, n_terms: int) -> bool:
     """Check (1 - middle*z + z**2) * sum_{k<=n_terms} B(k*m) z**k == B(m)*z
-    coefficient-wise up to degree n_terms - 1."""
+    coefficient-wise up to degree n_terms - 1; the series is every m-th value
+    of one recurrence walk, so it shares no code with :func:`gf_params`."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     if n_terms < 2:
         raise ValueError(f"n_terms must be at least 2, got {n_terms}")
     params = gf_params(m)
-    series = [balancing(k * m) for k in range(n_terms)]
-    for j in range(n_terms):
-        coeff = series[j]
-        if j >= 1:
-            coeff -= params.middle * series[j - 1]
-        if j >= 2:
-            coeff += series[j - 2]
-        if coeff != (params.numer if j == 1 else 0):
+    prev2 = prev = 0
+    for j, b in enumerate(islice(_recurrence("B"), 0, m * n_terms, m)):
+        if b - params.middle * prev + prev2 != (params.numer if j == 1 else 0):
             return False
+        prev2, prev = prev, b
     return True
 
 

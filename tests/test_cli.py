@@ -5,18 +5,22 @@ captured stdout plus the integer return code, mirroring how the
 console script behaves in a shell.
 """
 
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balsum.cli import build_parser, dump_json, main
 from balsum.sequences import sequence_table
+from balsum.summation import ClosedSumExpr, power_sum_formula
 
 
 def run_cli(capsys, argv):
@@ -358,6 +362,64 @@ class TestParser:
         assert args.upto == 7
 
 
+# Every flag of each subcommand; "bogus" is an unknown subcommand.
+CLI_FLAGS = {
+    "gen": ["--upto", "--seq", "--method", "--format"],
+    "linearize": ["--power", "--format"],
+    "sum": ["--m", "--power", "--upto", "--oracle", "--format"],
+    "formula": ["--m", "--power", "--format"],
+    "verify": ["--odd-max-l", "--even-max-l", "--lemma-max-m"],
+    "bogus": [],
+}
+CLI_CHOICES = {
+    "--seq": ["B", "C"],
+    "--method": ["recurrence", "fast", "binet"],
+    "--format": ["text", "json", "csv"],
+}
+# Integers stay in -3..12 so that no request is large.
+CLI_INTEGERS = st.sampled_from([str(k) for k in range(-3, 13)])
+CLI_VALUES = st.one_of(
+    CLI_INTEGERS,
+    st.sampled_from(["", "x", "1.5", "1e3", " 3", "0x10", "-0", *sum(CLI_CHOICES.values(), [])]),
+)
+
+
+def one_in(k):
+    return st.integers(0, k - 1).map(lambda i: i == 0)
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with each flag left out one time in eight; a flag's value
+    is of its kind three times in four, and any value otherwise; one time in
+    four a stray token or unknown flag follows."""
+    command = draw(st.sampled_from(list(CLI_FLAGS)))
+    argv = [command]
+    for flag in CLI_FLAGS[command]:
+        if draw(one_in(8)):
+            continue
+        if flag == "--oracle":
+            argv.append(flag)
+        elif draw(one_in(4)):
+            argv += [flag, draw(CLI_VALUES)]
+        else:
+            fitting = st.sampled_from(CLI_CHOICES[flag]) if flag in CLI_CHOICES else CLI_INTEGERS
+            argv += [flag, draw(fitting)]
+    if draw(one_in(4)):
+        argv.append(draw(st.one_of(CLI_VALUES, st.sampled_from(["--bogus", "--oracle", "--upto"]))))
+    return argv
+
+
+@settings(deadline=None, max_examples=250)
+@given(cli_argv())
+def test_any_argv_ends_in_a_defined_exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            assert main(argv) in (0, 1), argv
+        except SystemExit as stop:
+            assert stop.code == 2, argv
+
+
 class TestOverDigitLimit:
     """Outputs holding integers of more than 4,300 digits, the default
     int/str limit: the CLI lifts the limit for the call and restores it."""
@@ -403,6 +465,20 @@ class TestOverDigitLimit:
         with no_digit_limit():
             assert len(value) > 4300
             assert int(value) == sum(b**3 for b in sequence_table(2000))
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_formula_with_long_coefficients(self, capsys, fmt):
+        # The closed form of sum B(3000k)**2 has a 4,596-digit denominator.
+        argv = ["formula", "--m", "3000", "--power", "2", "--format", fmt]
+        code, out = self.run_restoring_limit(capsys, argv)
+        assert code == 0
+        expr = power_sum_formula(3000, 2)
+        with no_digit_limit():
+            if fmt == "json":
+                assert ClosedSumExpr.from_json_dict(json.loads(out)) == expr
+            else:
+                assert out == f"{expr.render()}\ncheck n=0: 0\n"
+                assert max(len(str(c.denominator)) for c, _, _ in expr.bterms) > 4300
 
 
 class TestReaderLeavesEarly:

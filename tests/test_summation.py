@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balsum import summation
-from balsum.sequences import balancing, lucas_balancing
+from balsum import sequences, summation
+from balsum.sequences import balancing, balancing_pair, lucas_balancing
 from balsum.summation import (
     ClosedSumExpr,
     brute_force_power_sum,
@@ -43,6 +43,18 @@ def test_subsequence_gf_check():
     assert subsequence_gf_check(5, 8)
     for m in range(1, 7):
         assert subsequence_gf_check(m, 10)
+
+
+def test_subsequence_gf_check_catches_a_scaled_evaluator(monkeypatch):
+    # An evaluator wrong by the same factor everywhere scales both B(m) and
+    # every B(k*m) it gives; the check must read its series elsewhere.
+    def scaled_pair(n):
+        b, c = balancing_pair(n)
+        return 2 * b, c
+
+    monkeypatch.setattr(sequences, "balancing_pair", scaled_pair)
+    monkeypatch.setattr(summation, "balancing_pair", scaled_pair)
+    assert not subsequence_gf_check(3, 10)
 
 
 def test_subsequence_gf_check_arguments():
@@ -112,7 +124,6 @@ def test_brute_force_does_not_use_the_evaluator(monkeypatch):
         raise AssertionError("the oracle must not call the evaluator")
 
     monkeypatch.setattr(summation, "balancing", refuse)
-    monkeypatch.setattr(summation, "lucas_balancing", refuse)
     monkeypatch.setattr(summation, "_affine_value", refuse)
     assert brute_force_power_sum(2, 3, 4) == sum(balancing(2 * k) ** 3 for k in range(5))
 
