@@ -8,7 +8,11 @@ l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree.  It times the
 QuadElem multiply on small rationals (a batch of products) and on operands
 the size of ALPHA**(10**5), and each Laurent verifier at one bound (odd
 l = 30, even l = 20, the subsequence lemma at m = 200, and the closed power
-sums for every m <= 6, l <= 8), checking that each proof holds.  Each entry
+sums for every m <= 6, l <= 8), checking that each proof holds.  It times
+decimal output: a table of B at 0..upto for upto = 1,000, 3,000 and 7,000 as
+the int walk plus str against the exact Decimal walk of `balsum gen`,
+checking that the two agree, and str of one integer B(N) for N = 10**4 ..
+10**5, the case of a single large output.  Each entry
 is the median of five calls, or the time of a single call when that takes
 over a second.  No cache is involved: every power_sum call derives its
 formula afresh, so every call is cold.
@@ -20,6 +24,7 @@ import json
 import platform
 import random
 import statistics
+import sys
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, TypeVar
@@ -31,7 +36,14 @@ from balsum.laurent import (
     verify_power_sum_formula,
     verify_subsequence_recurrence,
 )
-from balsum.sequences import balancing_binet, balancing_fast, balancing_pair
+from balsum.sequences import (
+    balancing,
+    balancing_binet,
+    balancing_fast,
+    balancing_pair,
+    decimal_table,
+    sequence_table,
+)
 from balsum.summation import brute_force_power_sum, power_sum
 
 T = TypeVar("T")
@@ -47,6 +59,8 @@ SHAPES = ((1, 1), (1, 10), (3, 10), (5, 20), (12, 24))
 SIZES = (10**4, 3 * 10**4, 10**5)
 # Products per timed batch of small-rational QuadElem multiplies.
 SMALL_MULS = 10_000
+TABLE_UPTOS = (1_000, 3_000, 7_000)
+STR_INDICES = (10**4, 3 * 10**4, 10**5)
 VERIFIERS = {
     "odd_l30": lambda: verify_odd_power_identity(30),
     "even_l20": lambda: verify_even_power_identity(20),
@@ -99,7 +113,28 @@ def quad_mul_rows() -> dict[str, float]:
     return {f"small_rationals_x{SMALL_MULS}": round(small_ms, 3), "alpha_1e5": round(big_ms, 3)}
 
 
+def output_rows() -> dict[str, dict[str, dict[str, float]]]:
+    """Decimal output: whole tables by the int walk and str against the Decimal
+    walk, and str of one large integer."""
+    tables = {}
+    for upto in TABLE_UPTOS:
+        int_ms, by_int = timed(lambda: [str(v) for v in sequence_table(upto)])
+        decimal_ms, by_decimal = timed(lambda: list(decimal_table(upto)))
+        if by_int != by_decimal:
+            raise SystemExit(f"decimal_table({upto}) disagrees with str of sequence_table")
+        tables[str(upto)] = {"int_walk_str": round(int_ms, 3), "decimal_walk": round(decimal_ms, 3)}
+    singles = {}
+    for n in STR_INDICES:
+        value = balancing(n)
+        ms, digits = timed(lambda: str(value))
+        singles[str(n)] = {"digits": len(digits), "str": round(ms, 3)}
+    return {"table": tables, "str_B_n": singles}
+
+
 def main() -> None:
+    # Tables and single values reach far past the 4,300-digit int/str limit
+    # (Python 3.10 before 3.10.7 has none).
+    getattr(sys, "set_int_max_str_digits", lambda limit: None)(0)
     generators = {}
     for n in INDICES:
         row = {name: timed(lambda: generate(n)) for name, generate in GENERATORS.items()}
@@ -132,6 +167,7 @@ def main() -> None:
         "power_sum_vs_brute_force": sums,
         "quad_mul": quad_mul_rows(),
         "verifiers": verifiers,
+        "decimal_output": output_rows(),
     }, indent=2))
 
 

@@ -3,6 +3,8 @@
 Exit codes: 0 on success, also when the reader of stdout leaves early (as
 `| head` does); 1 when a verification or oracle comparison fails; 2 on usage
 errors.  JSON output is one document per invocation, big integers as strings.
+`gen` writes each row as it is made, by default from the exact decimal walk
+`sequences.decimal_table`; `sequence_table`, in ints, stays its oracle.
 """
 
 from __future__ import annotations
@@ -54,27 +56,23 @@ def dump_json(data: object) -> str:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.method == "recurrence":
-        values = sequences.sequence_table(args.upto, args.seq)
+        values = sequences.decimal_table(args.upto, args.seq)
     else:
-        generate = _GENERATORS[(args.seq, args.method)]
-        values = [generate(n) for n in range(args.upto + 1)]
-    if args.format == "json":
-        # dump_json of the whole document, written one row at a time so that
-        # the decimal strings of all the rows are never held at once.  A row
-        # holds an int and a string of digits, which JSON renders as is.
-        head = dump_json({"seq": args.seq, "method": args.method, "upto": args.upto, "rows": []})
-        write = sys.stdout.write
-        write(head.removesuffix("[]\n}") + "[")
-        for n, value in enumerate(values):
-            write(f'{"," if n else ""}\n    {{\n      "n": {n},\n      "value": "{value}"\n    }}')
-        write("\n  ]\n}\n")
-    elif args.format == "csv":
-        print("n,value")
-        for n, value in enumerate(values):
-            print(f"{n},{value}")
-    else:
-        for n, value in enumerate(values):
-            print(f"{n}\t{value}")
+        values = map(_GENERATORS[(args.seq, args.method)], range(args.upto + 1))
+    head, row, foot = "", "{n}\t{value}\n", ""
+    if args.format == "csv":
+        head, row = "n,value\n", "{n},{value}\n"
+    elif args.format == "json":
+        # dump_json of the whole document, written one row at a time: an index
+        # and a string of digits need no JSON escaping.
+        doc = dump_json({"seq": args.seq, "method": args.method, "upto": args.upto, "rows": []})
+        head, foot = doc.removesuffix("[]\n}") + "[", "\n  ]\n}\n"
+        row = '{sep}\n    {{\n      "n": {n},\n      "value": "{value}"\n    }}'
+    write = sys.stdout.write
+    write(head)
+    for n, value in enumerate(values):
+        write(row.format(n=n, value=value, sep="," if n else ""))
+    write(foot)
     return 0
 
 

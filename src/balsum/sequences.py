@@ -9,8 +9,9 @@ C(n)**2 - 8*B(n)**2 = 1.
 
 The evaluator is :func:`balancing_pair`, which doubles the pair (B, C) in
 O(log n) multiplications; :func:`balancing` and :func:`lucas_balancing` read
-their value off it.  The O(n) recurrence builds whole tables
-(:func:`sequence_table`).  The recurrence, an O(log n) 2x2 matrix power and
+their value off it.  The O(n) recurrence builds whole tables, in ints
+(:func:`sequence_table`, the table oracle) and in exact decimal for output
+(:func:`decimal_table`).  The recurrence, an O(log n) 2x2 matrix power and
 evaluation through powers of ALPHA = 3 + 2*sqrt(2) are implemented
 independently of the doubling, so each serves as a test oracle for it.
 """
@@ -31,9 +32,11 @@ _IDENTITY: Mat2 = ((1, 0), (0, 1))
 _SEEDS = {"B": (0, 1), "C": (1, 3)}
 
 
-def _check_index(n: int) -> None:
+def _check_index(n: int, seq: str = "B") -> None:
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
+    if seq not in _SEEDS:
+        raise ValueError(f"seq must be 'B' or 'C', got {seq!r}")
 
 
 def _recurrence(seq: str) -> Iterator[int]:
@@ -136,8 +139,32 @@ def gf_coefficients(count: int) -> list[int]:
 
 
 def sequence_table(upto: int, seq: str = "B") -> list[int]:
-    """Values of B or C at indices 0..upto, built in one recurrence pass."""
-    _check_index(upto)
-    if seq not in _SEEDS:
-        raise ValueError(f"seq must be 'B' or 'C', got {seq!r}")
+    """Values of B or C at indices 0..upto in one recurrence pass; the oracle
+    of :func:`decimal_table`."""
+    _check_index(upto, seq)
     return list(islice(_recurrence(seq), upto + 1))
+
+
+def _exact_context():
+    """The largest precision and exponent libmpdec allows, every rounding
+    trapped: a result that does not fit raises, it never loses a digit."""
+    import decimal
+
+    signals = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=signals)
+
+
+def decimal_table(upto: int, seq: str = "B") -> Iterator[str]:
+    """B or C at indices 0..upto as decimal strings, each made when asked for.
+
+    In libmpdec's radix 10**19 a step and its string are linear in the digits,
+    where int's str is quadratic.  Each step is one ``fma`` of
+    :func:`_exact_context`, never of the caller's decimal context."""
+    _check_index(upto, seq)
+    context = _exact_context()
+    x0, x1 = _SEEDS[seq]
+    prev, cur = map(context.create_decimal, (6 * x0 - x1, x0))  # x(-1), x(0)
+    yield context.to_sci_string(cur)
+    for _ in range(upto):
+        prev, cur = cur, context.fma(cur, 6, prev.copy_negate())
+        yield context.to_sci_string(cur)

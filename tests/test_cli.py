@@ -5,6 +5,7 @@ captured stdout plus the integer return code, mirroring how the
 console script behaves in a shell.
 """
 
+import decimal
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsum.cli import build_parser, dump_json, main
-from balsum.sequences import sequence_table
+from balsum.sequences import balancing_pair, sequence_table
 from balsum.summation import ClosedSumExpr, power_sum_formula
 
 
@@ -34,6 +35,15 @@ def gen_document(seq, method, upto):
     recurrence table."""
     rows = [{"n": n, "value": str(v)} for n, v in enumerate(sequence_table(upto, seq))]
     return dump_json({"seq": seq, "method": method, "upto": upto, "rows": rows}) + "\n"
+
+
+def gen_output(seq, method, upto, fmt):
+    """`gen` output rendered from the recurrence table by `str`."""
+    with no_digit_limit():
+        if fmt == "json":
+            return gen_document(seq, method, upto)
+        head, sep = ("n,value\n", ",") if fmt == "csv" else ("", "\t")
+        return head + "".join(f"{n}{sep}{v}\n" for n, v in enumerate(sequence_table(upto, seq)))
 
 
 # Python 3.10 before 3.10.7 has no int/str digit limit.
@@ -165,6 +175,49 @@ class TestGen:
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--upto", "-1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("method", ["recurrence", "fast", "binet"])
+    @pytest.mark.parametrize("seq", ["B", "C"])
+    @pytest.mark.parametrize("upto", [0, 1, 2, 60])
+    def test_output_matches_the_table_oracle(self, capsys, upto, seq, method, fmt):
+        argv = ["gen", "--upto", str(upto), "--seq", seq, "--method", method, "--format", fmt]
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        assert out == gen_output(seq, method, upto, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_recurrence_above_the_digit_line_matches_the_table_oracle(self, capsys, fmt):
+        code, out = run_cli(capsys, ["gen", "--upto", "5700", "--format", fmt])
+        assert code == 0
+        # Compared as lists of lines, whose mismatch pytest reports quickly.
+        assert out.split("\n") == gen_output("B", "recurrence", 5700, fmt).split("\n")
+
+    def test_twelve_thousand_rows(self, capsys):
+        # About 55 MB; with int's quadratic str this request takes seconds.
+        code, out = run_cli(capsys, ["gen", "--upto", "12000", "--format", "csv"])
+        assert code == 0
+        assert out.count("\n") == 12002
+        n, value = out[out.rindex("\n", 0, -1) + 1 :].split(",")
+        assert int(n) == 12000
+        with no_digit_limit():
+            assert int(value) == balancing_pair(12000)[0]
+
+    def test_leaves_the_callers_decimal_context(self, capsys):
+        context = decimal.getcontext()
+        prec, traps = context.prec, dict(context.traps)
+        code, _ = run_cli(capsys, ["gen", "--upto", "300"])
+        assert code == 0
+        assert decimal.getcontext() is context
+        assert (context.prec, dict(context.traps)) == (prec, traps)
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_ignores_the_callers_decimal_context(self, capsys, fmt):
+        with decimal.localcontext() as context:
+            context.prec = 5
+            code, out = run_cli(capsys, ["gen", "--upto", "300", "--seq", "C", "--format", fmt])
+        assert code == 0
+        assert out == gen_output("C", "recurrence", 300, fmt)
 
 
 class TestLinearize:

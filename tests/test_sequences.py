@@ -1,11 +1,15 @@
+import decimal
+
 import pytest
 
+from balsum import sequences
 from balsum.arith import ALPHA
 from balsum.sequences import (
     balancing,
     balancing_binet,
     balancing_fast,
     balancing_pair,
+    decimal_table,
     gf_coefficients,
     lucas_balancing,
     lucas_balancing_binet,
@@ -155,3 +159,32 @@ def test_sequence_table():
         sequence_table(5, "X")
     with pytest.raises(ValueError):
         sequence_table(-1)
+
+
+@pytest.mark.parametrize("seq", ["B", "C"])
+def test_decimal_table_matches_sequence_table(seq):
+    for upto in (0, 1, 2, 300):
+        assert list(decimal_table(upto, seq)) == [str(v) for v in sequence_table(upto, seq)]
+    with pytest.raises(ValueError):
+        list(decimal_table(-1, seq))
+
+
+def test_decimal_table_rejects_unknown_sequence():
+    with pytest.raises(ValueError):
+        list(decimal_table(5, "X"))
+
+
+@pytest.mark.parametrize("seq", ["B", "C"])
+def test_decimal_walk_raises_instead_of_rounding(monkeypatch, seq):
+    # The walk's own context cut to 30 digits: the first value over 30 digits
+    # must raise, and every value yielded before it must be exact.
+    context = sequences._exact_context().copy()
+    context.prec = 30
+    monkeypatch.setattr(sequences, "_exact_context", lambda: context)
+    yielded = []
+    with pytest.raises((decimal.Rounded, decimal.Inexact)):
+        for digits in decimal_table(100, seq):
+            yielded.append(digits)
+    oracle = sequence_table(len(yielded), seq)
+    assert yielded == [str(v) for v in oracle[:-1]]
+    assert len(yielded[-1]) <= 30 < len(str(oracle[-1]))
