@@ -16,19 +16,31 @@ checking that the two agree, and str of one integer B(N) for N = 10**4 ..
 is the median of five calls, or the time of a single call when that takes
 over a second.  No cache is involved: every power_sum call derives its
 formula afresh, so every call is cold.
+
+The one row out of process is start-up: fresh `python -m balsum --help`
+processes against the floor `python -c "import fractions, argparse"`, nine
+of each, interleaved, run from a copy of the package without `__pycache__`
+and with PYTHONDONTWRITEBYTECODE=1, so every module is compiled as in the
+benchmark.  It reports the median of each in ms.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import random
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, TypeVar
 
+import balsum
 from balsum.arith import ALPHA, QuadElem
 from balsum.laurent import (
     verify_even_power_identity,
@@ -61,6 +73,11 @@ SIZES = (10**4, 3 * 10**4, 10**5)
 SMALL_MULS = 10_000
 TABLE_UPTOS = (1_000, 3_000, 7_000)
 STR_INDICES = (10**4, 3 * 10**4, 10**5)
+STARTUP_ROUNDS = 9
+STARTUP_COMMANDS = {
+    "balsum_help": ["-m", "balsum", "--help"],
+    "floor": ["-c", "import fractions, argparse"],
+}
 VERIFIERS = {
     "odd_l30": lambda: verify_odd_power_identity(30),
     "even_l20": lambda: verify_even_power_identity(20),
@@ -131,6 +148,22 @@ def output_rows() -> dict[str, dict[str, dict[str, float]]]:
     return {"table": tables, "str_B_n": singles}
 
 
+def startup_row() -> dict[str, float]:
+    """Median wall time in ms of each STARTUP_COMMANDS process, the commands
+    taking turns, from a bytecode-free copy of the package under test."""
+    times: dict[str, list[float]] = {name: [] for name in STARTUP_COMMANDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        package = Path(balsum.__file__).parent
+        shutil.copytree(package, Path(tmp, package.name), ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
+        for _ in range(STARTUP_ROUNDS):
+            for name, args in STARTUP_COMMANDS.items():
+                start = perf_counter()
+                subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
+                times[name].append(1e3 * (perf_counter() - start))
+    return {name: round(statistics.median(ms), 1) for name, ms in times.items()}
+
+
 def main() -> None:
     # Tables and single values reach far past the 4,300-digit int/str limit
     # (Python 3.10 before 3.10.7 has none).
@@ -168,6 +201,7 @@ def main() -> None:
         "quad_mul": quad_mul_rows(),
         "verifiers": verifiers,
         "decimal_output": output_rows(),
+        "startup": startup_row(),
     }, indent=2))
 
 

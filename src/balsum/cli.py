@@ -224,7 +224,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     finally:
         set_limit(previous)
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,10 +14,9 @@ writes B(2n+2), a linear form writes its shifted term as B(2(n+1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .arith import RatLike, as_integer
 from .sequences import balancing_pair
@@ -64,8 +63,10 @@ class _AffineForm:
     """The shared core of :class:`LinearForm` and
     :class:`~balsum.summation.ClosedSumExpr`: constant + linear_coeff*(n+1) +
     sum of coeff * B(stride*n + offset) over ``bterms``, evaluated by
-    :func:`_affine_value` and rendered as text."""
+    :func:`_affine_value` and rendered as text.  Each form mixes it into a
+    named tuple of its own fields."""
 
+    __slots__ = ()
     power: int
     constant: Fraction
     linear_coeff: RatLike
@@ -114,18 +115,20 @@ class _AffineForm:
         return " ".join(out)
 
 
-@dataclass(frozen=True)
-class LinearForm(_AffineForm):
+class _LinearFormFields(NamedTuple):
+    power: int
+    constant: Fraction
+    terms: tuple[tuple[TermKey, Fraction], ...]
+
+
+class LinearForm(_AffineForm, _LinearFormFields):
     """constant + sum of coeff * B(j*(n+s)), representing B(n)**power.
 
     ``terms`` is sorted by multiplier descending, shift ascending, holds no
     zero coefficients, and has unique keys, so equal forms compare equal.
     """
 
-    power: int
-    constant: Fraction
-    terms: tuple[tuple[TermKey, Fraction], ...]
-
+    __slots__ = ()
     linear_coeff = 0
 
     @property

@@ -18,6 +18,7 @@ independently of the doubling, so each serves as a test oracle for it.
 
 from __future__ import annotations
 
+import decimal
 from itertools import islice
 from typing import Iterator
 
@@ -148,8 +149,6 @@ def sequence_table(upto: int, seq: str = "B") -> list[int]:
 def _exact_context():
     """The largest precision and exponent libmpdec allows, every rounding
     trapped: a result that does not fit raises, it never loses a digit."""
-    import decimal
-
     signals = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
     return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=signals)
 

@@ -17,17 +17,16 @@ renderer of :class:`~balsum.linearize.LinearForm`; it adds the coefficient of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import NamedTuple
 
 from .arith import as_integer
 from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
 from .sequences import _recurrence, balancing, balancing_pair
 
 
-@dataclass(frozen=True)
-class GFParams:
+class GFParams(NamedTuple):
     """Numerator coefficient and denominator middle coefficient of the
     subsequence generating function B(m)*z / (1 - middle*z + z**2)."""
 
@@ -113,8 +112,15 @@ def power_sum(m: int, l: int, n: int) -> int:
     return power_sum_formula(m, l).value_at(n)
 
 
-@dataclass(frozen=True)
-class ClosedSumExpr(_AffineForm):
+class _ClosedSumFields(NamedTuple):
+    m: int
+    power: int
+    bterms: tuple[BTerm, ...]
+    linear_coeff: Fraction
+    constant: Fraction
+
+
+class ClosedSumExpr(_AffineForm, _ClosedSumFields):
     """Symbolic closed form of sum_{0<=k<=n} B(k*m)**power.
 
     Evaluates as constant + linear_coeff*(n+1) + sum of
@@ -122,11 +128,7 @@ class ClosedSumExpr(_AffineForm):
     integer for every n >= 0.
     """
 
-    m: int
-    power: int
-    bterms: tuple[BTerm, ...]
-    linear_coeff: Fraction
-    constant: Fraction
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -534,16 +534,24 @@ class TestOverDigitLimit:
                 assert max(len(str(c.denominator)) for c, _, _ in expr.bterms) > 4300
 
 
+def _env_with_src():
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestReaderLeavesEarly:
     """A reader that closes stdout early, as `| head -1` or `| true` does,
     ends the request with status 0 and nothing on stderr."""
 
     def balsum(self, argv, **kwargs):
-        src = str(Path(__file__).parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         return subprocess.Popen(
-            [sys.executable, "-m", "balsum", *argv], stderr=subprocess.PIPE, env=env, **kwargs
+            [sys.executable, "-m", "balsum", *argv],
+            stderr=subprocess.PIPE,
+            env=_env_with_src(),
+            **kwargs,
         )
 
     def test_head_reads_one_row(self):
@@ -567,3 +575,16 @@ class TestReaderLeavesEarly:
         _, stderr = proc.communicate(timeout=60)
         assert stderr == b""
         assert proc.returncode == 0
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Diff against a snapshot, so a module a site hook loaded first is not counted.
+    script = (
+        "import sys; before = set(sys.modules); import balsum.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    command = [sys.executable, "-c", script]
+    run = subprocess.run(command, env=_env_with_src(), capture_output=True, text=True, check=True)
+    loaded = run.stdout.split()
+    assert "balsum.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)

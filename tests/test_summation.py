@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences, summation
+from balsum.linearize import LinearForm, linearize
 from balsum.sequences import balancing, balancing_pair, lucas_balancing
 from balsum.summation import (
     ClosedSumExpr,
+    GFParams,
     brute_force_power_sum,
     closed_sum,
     gf_params,
@@ -252,3 +254,29 @@ def test_json_closed_sum_with_negative_strides_evaluates():
         flipped = ClosedSumExpr.from_json_dict(_json_with_bterms(expr, mirrored, expr.constant))
         for n in range(12):
             assert flipped.value_at(n) == brute_force_power_sum(m, l, n)
+
+
+def test_record_types_keep_repr_equality_hash_and_immutability():
+    assert repr(linearize(3)) == (
+        "LinearForm(power=3, constant=Fraction(0, 1), "
+        "terms=(((3, 0), Fraction(1, 32)), ((1, 0), Fraction(-3, 32))))"
+    )
+    assert repr(power_sum_formula(2, 1)) == (
+        "ClosedSumExpr(m=2, power=1, bterms=((Fraction(1, 32), 2, 2), "
+        "(Fraction(-1, 32), 2, 0)), linear_coeff=Fraction(0, 1), constant=Fraction(-3, 16))"
+    )
+    assert repr(gf_params(2)) == "GFParams(numer=6, middle=34, m=2)"
+
+    form, expr, params = linearize(2), power_sum_formula(2, 1), gf_params(2)
+    assert LinearForm(power=2, constant=form.constant, terms=form.terms) == form
+    assert ClosedSumExpr(
+        m=2, power=1, bterms=expr.bterms, linear_coeff=expr.linear_coeff, constant=expr.constant
+    ) == expr
+    assert GFParams(numer=6, middle=34, m=2) == params
+    read_back = LinearForm.from_json_dict(form.to_json_dict())
+    assert read_back == form and hash(read_back) == hash(form)
+
+    for record, field in ((form, "terms"), (expr, "constant"), (params, "middle")):
+        for attr in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, 0)
