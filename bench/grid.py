@@ -17,11 +17,12 @@ is the median of five calls, or the time of a single call when that takes
 over a second.  No cache is involved: every power_sum call derives its
 formula afresh, so every call is cold.
 
-The one row out of process is start-up: fresh `python -m balsum --help`
-processes against the floor `python -c "import fractions, argparse"`, nine
-of each, interleaved, run from a copy of the package without `__pycache__`
-and with PYTHONDONTWRITEBYTECODE=1, so every module is compiled as in the
-benchmark.  It reports the median of each in ms.
+The one row out of process is start-up: fresh `python -m balsum` processes,
+one small request per subcommand and `--help`, against the floor
+`python -c "import fractions, argparse"`, nine of each, interleaved, run from
+a copy of the package without `__pycache__` and with
+PYTHONDONTWRITEBYTECODE=1, so every module is compiled as in the benchmark.
+It reports the median of each in ms.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ STR_INDICES = (10**4, 3 * 10**4, 10**5)
 STARTUP_ROUNDS = 9
 STARTUP_COMMANDS = {
     "balsum_help": ["-m", "balsum", "--help"],
+    "balsum_gen": ["-m", "balsum", "gen", "--upto", "10"],
+    "balsum_sum": ["-m", "balsum", "sum", "--m", "2", "--power", "5", "--upto", "30"],
+    "balsum_formula": ["-m", "balsum", "formula", "--m", "3", "--power", "8"],
+    "balsum_linearize": ["-m", "balsum", "linearize", "--power", "8"],
+    "balsum_verify": ["-m", "balsum", "verify", "--odd-max-l", "2"],
     "floor": ["-c", "import fractions, argparse"],
 }
 VERIFIERS = {

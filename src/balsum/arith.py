@@ -35,6 +35,14 @@ class InexactResultError(ArithmeticError):
     """
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    """Raise ValueError, naming the argument, unless value >= low; the one
+    lower-bound check of the library's integer arguments."""
+    if value < low:
+        bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 def as_integer(value: Fraction | int, what: str = "result") -> int:
     """Strip a denominator that must be 1; hard error otherwise."""
     q = Fraction(value)

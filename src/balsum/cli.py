@@ -5,19 +5,18 @@ Exit codes: 0 on success, also when the reader of stdout leaves early (as
 errors.  JSON output is one document per invocation, big integers as strings.
 `gen` writes each row as it is made, by default from the exact decimal walk
 `sequences.decimal_table`; `sequence_table`, in ints, stays its oracle.
+`summation`, `laurent` and `json` load inside the handlers that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, Sequence
 
-from . import laurent, sequences, summation
+from . import sequences
 from .linearize import linearize
-from .summation import brute_force_power_sum, power_sum, power_sum_formula
 
 _GENERATORS: dict[tuple[str, str], Callable[[int], int]] = {
     ("B", "fast"): sequences.balancing_fast,
@@ -51,6 +50,8 @@ def _positive(text: str) -> int:
 
 def dump_json(data: object) -> str:
     """Canonical JSON rendering; reserializing a parse of it is byte-identical."""
+    import json
+
     return json.dumps(data, indent=2)
 
 
@@ -86,6 +87,8 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
+    from .summation import brute_force_power_sum, power_sum
+
     value = power_sum(args.m, args.power, args.upto)
     oracle = brute_force_power_sum(args.m, args.power, args.upto) if args.oracle else None
     match = oracle is None or oracle == value
@@ -116,6 +119,8 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    from .summation import power_sum_formula
+
     expr = power_sum_formula(args.m, args.power)
     if args.format == "json":
         print(dump_json(expr.to_json_dict()))
@@ -126,6 +131,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import laurent
+
     odd_max = args.odd_max_l
     even_max = args.even_max_l
     lemma_max = args.lemma_max_m

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _power
+from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _check_at_least, _power
 from .linearize import LinearForm, linearize_even, linearize_odd
 from .summation import gf_params, power_sum_formula
 
@@ -165,8 +165,7 @@ def verify_subsequence_recurrence(m: int) -> bool:
 
     The m = 1 instance is the defining recurrence itself and is excluded.
     """
-    if m < 2:
-        raise ValueError(f"m must be at least 2, got {m}")
+    _check_at_least("m", m, 2)
     middle = gf_params(m).middle
     return encode([(1, m, 0), (-middle, m, -m), (1, m, -2 * m)]).is_zero()
 

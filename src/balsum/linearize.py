@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import RatLike, as_integer
+from .arith import RatLike, _check_at_least, as_integer
 from .sequences import balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
@@ -42,8 +42,7 @@ def _affine_value(constant: Fraction, linear: RatLike, bterms: Sequence[BTerm], 
     denominator: one :func:`balancing_pair` at a large index and two big
     products per stride.  Strides and offsets may be negative; n may not.
     """
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+    _check_at_least("index", n, 0)
     start = constant + linear * (n + 1)
     den = lcm(start.denominator, *(coeff.denominator for coeff, _, _ in bterms))
     folded: dict[int, tuple[int, int]] = {}
@@ -198,8 +197,7 @@ def _power_form(power: int) -> LinearForm:
 
 def linearize_odd(l: int) -> LinearForm:
     """The form for B(n)**(2l+1), l >= 0, from :func:`_power_form`."""
-    if l < 0:
-        raise ValueError(f"l must be non-negative, got {l}")
+    _check_at_least("l", l, 0)
     return _power_form(2 * l + 1)
 
 
@@ -207,13 +205,11 @@ def linearize_even(l: int) -> LinearForm:
     """The form for B(n)**(2l), l >= 1, from :func:`_power_form`.  The paper
     writes the coefficient -2c*C(j)/B(j) of B(jn) as 2c/B(j) - c*B(j)/B(j/2)**2,
     the same number by 2C(j)/B(j) = B(j)/B(j/2)**2 - 2/B(j)."""
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
+    _check_at_least("l", l, 1)
     return _power_form(2 * l)
 
 
 def linearize(power: int) -> LinearForm:
     """The form for B(n)**power, power >= 1."""
-    if power < 1:
-        raise ValueError(f"power must be positive, got {power}")
+    _check_at_least("power", power, 1)
     return _power_form(power)

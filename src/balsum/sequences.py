@@ -22,7 +22,7 @@ import decimal
 from itertools import islice
 from typing import Iterator
 
-from .arith import ALPHA, InexactResultError, _power
+from .arith import ALPHA, _check_at_least, _power, as_integer
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -34,8 +34,7 @@ _SEEDS = {"B": (0, 1), "C": (1, 3)}
 
 
 def _check_index(n: int, seq: str = "B") -> None:
-    if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+    _check_at_least("index", n, 0)
     if seq not in _SEEDS:
         raise ValueError(f"seq must be 'B' or 'C', got {seq!r}")
 
@@ -112,19 +111,13 @@ def balancing_binet(n: int) -> int:
     ``balsum gen --method binet``.
     """
     _check_index(n)
-    b = (ALPHA**n).b
-    if b.denominator != 1 or b.numerator % 2:
-        raise InexactResultError(f"sqrt(2) part of ALPHA**{n} is not an even integer: {b}")
-    return b.numerator // 2
+    return as_integer((ALPHA**n).b / 2, f"half the sqrt(2) part of ALPHA**{n}")
 
 
 def lucas_balancing_binet(n: int) -> int:
     """C(n) as the rational part of ALPHA**n; a test oracle."""
     _check_index(n)
-    a = (ALPHA**n).a
-    if a.denominator != 1:
-        raise InexactResultError(f"rational part of ALPHA**{n} is not an integer: {a}")
-    return a.numerator
+    return as_integer((ALPHA**n).a, f"rational part of ALPHA**{n}")
 
 
 def gf_coefficients(count: int) -> list[int]:
@@ -134,8 +127,7 @@ def gf_coefficients(count: int) -> list[int]:
     so they are read off the recurrence walk, independently of
     :func:`balancing_pair`: a test oracle for the generating function of B.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    _check_at_least("count", count, 1)
     return list(islice(_recurrence("B"), count))
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .arith import as_integer
+from .arith import _check_at_least, as_integer
 from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
 from .sequences import _recurrence, balancing, balancing_pair
 
@@ -37,8 +37,7 @@ class GFParams(NamedTuple):
 
 def gf_params(m: int) -> GFParams:
     """Parameters of the generating function of k -> B(k*m), m >= 1."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _check_at_least("m", m, 1)
     numer, half_middle = balancing_pair(m)
     return GFParams(numer, 2 * half_middle, m)
 
@@ -47,10 +46,8 @@ def subsequence_gf_check(m: int, n_terms: int) -> bool:
     """Check (1 - middle*z + z**2) * sum_{k<=n_terms} B(k*m) z**k == B(m)*z
     coefficient-wise up to degree n_terms - 1; the series is every m-th value
     of one recurrence walk, so it shares no code with :func:`gf_params`."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if n_terms < 2:
-        raise ValueError(f"n_terms must be at least 2, got {n_terms}")
+    _check_at_least("m", m, 1)
+    _check_at_least("n_terms", n_terms, 2)
     params = gf_params(m)
     prev2 = prev = 0
     for j, b in enumerate(islice(_recurrence("B"), 0, m * n_terms, m)):
@@ -84,8 +81,7 @@ def shifted_closed_sum(m: int, r: int, n: int) -> int:
     The formula is pinned to the direct-summation oracle over a grid of
     (m, r, n) in the test suite.
     """
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
+    _check_at_least("r", r, 0)
     pair, constant = _shifted_sum_parts(m, r)
     return as_integer(_affine_value(constant, 0, pair, n), f"shifted sum m={m}, r={r}, n={n}")
 
@@ -97,12 +93,9 @@ def brute_force_power_sum(m: int, l: int, n: int) -> int:
     It takes every m-th value of one walk of the recurrence, so it shares no
     code with the doubling evaluator behind the closed forms.
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if l < 1:
-        raise ValueError(f"l must be positive, got {l}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_at_least("m", m, 1)
+    _check_at_least("l", l, 1)
+    _check_at_least("n", n, 0)
     return sum(b**l for b in islice(_recurrence("B"), 0, m * n + 1, m))
 
 
@@ -163,8 +156,7 @@ def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
     merged by (stride, offset); the linearization constant becomes the
     coefficient of (n+1).
     """
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
+    _check_at_least("m", m, 1)
     form = linearize(l)
     pairs: list[tuple[tuple[int, int], Fraction]] = []
     constant = Fraction(0)

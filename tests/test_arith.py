@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import balsum
 from balsum.arith import (
     ALPHA,
     BETA,
@@ -279,3 +281,29 @@ class TestIntegerHelpers:
         assert as_integer(Fraction(12, 4)) == 3
         with pytest.raises(InexactResultError):
             as_integer(Fraction(1, 2))
+
+
+# Every argument check of the library, by the entry point that reaches it.
+ARGUMENT_ERRORS = [
+    (lambda: balsum.balancing(-1), "index must be non-negative, got -1"),
+    (lambda: balsum.gf_coefficients(0), "count must be positive, got 0"),
+    (lambda: balsum.linearize(1).value_at(-1), "index must be non-negative, got -1"),
+    (lambda: balsum.linearize_odd(-1), "l must be non-negative, got -1"),
+    (lambda: balsum.linearize_even(0), "l must be positive, got 0"),
+    (lambda: balsum.linearize(0), "power must be positive, got 0"),
+    (lambda: balsum.gf_params(0), "m must be positive, got 0"),
+    (lambda: balsum.subsequence_gf_check(0, 5), "m must be positive, got 0"),
+    (lambda: balsum.subsequence_gf_check(2, 1), "n_terms must be at least 2, got 1"),
+    (lambda: balsum.shifted_closed_sum(2, -1, 3), "r must be non-negative, got -1"),
+    (lambda: balsum.brute_force_power_sum(0, 1, 1), "m must be positive, got 0"),
+    (lambda: balsum.brute_force_power_sum(1, 0, 1), "l must be positive, got 0"),
+    (lambda: balsum.brute_force_power_sum(1, 1, -1), "n must be non-negative, got -1"),
+    (lambda: balsum.power_sum_formula(0, 1), "m must be positive, got 0"),
+    (lambda: balsum.verify_subsequence_recurrence(1), "m must be at least 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", ARGUMENT_ERRORS)
+def test_argument_error_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

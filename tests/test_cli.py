@@ -577,14 +577,30 @@ class TestReaderLeavesEarly:
         assert proc.returncode == 0
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Diff against a snapshot, so a module a site hook loaded first is not counted.
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        pytest.param([], set(), id="import"),
+        pytest.param(["--help"], {"balsum.summation", "balsum.laurent"}, id="help"),
+        pytest.param(["gen", "--upto", "10"], {"balsum.summation", "balsum.laurent", "json"}, id="gen"),
+        pytest.param(["sum", "--m", "2", "--power", "5", "--upto", "30"], {"balsum.laurent", "json"}, id="sum"),
+        pytest.param(["formula", "--m", "3", "--power", "8"], {"balsum.laurent"}, id="formula"),
+        pytest.param(["linearize", "--power", "8"], {"balsum.laurent"}, id="linearize"),
+        pytest.param(["verify", "--odd-max-l", "2"], {"json"}, id="verify"),
+    ],
+)
+def test_cli_import_loads_neither_dataclasses_nor_inspect(argv, unloaded):
+    # Each request loads only the layers it runs.  Diff against a snapshot, so
+    # a module a site hook loaded first (such as typing) is not counted.
     script = (
-        "import sys; before = set(sys.modules); import balsum.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import balsum.cli\n"
+        "if sys.argv[1:]:\n"
+        "    try: balsum.cli.main(sys.argv[1:])\n"
+        "    except SystemExit: pass\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))"
     )
-    command = [sys.executable, "-c", script]
+    command = [sys.executable, "-c", script, *argv]
     run = subprocess.run(command, env=_env_with_src(), capture_output=True, text=True, check=True)
-    loaded = run.stdout.split()
+    loaded = run.stderr.split()
     assert "balsum.cli" in loaded
-    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert not ({"dataclasses", "inspect"} | unloaded) & set(loaded)
