@@ -11,8 +11,10 @@ l = 30, even l = 20, the subsequence lemma at m = 200, and the closed power
 sums for every m <= 6, l <= 8), checking that each proof holds.  It times
 decimal output: a table of B at 0..upto for upto = 1,000, 3,000 and 7,000 as
 the int walk plus str against the exact Decimal walk of `balsum gen`,
-checking that the two agree, and str of one integer B(N) for N = 10**4 ..
-10**5, the case of a single large output.  Each entry
+checking that the two agree, and one integer B(N) for N = 10**4 .. 10**5,
+the case of a single large output, by str and by `arith._text`, the
+library's writer, which converts through exact Decimal to stay clear of the
+int/str digit limit, checking that the two agree.  Each entry
 is the median of five calls, or the time of a single call when that takes
 over a second.  No cache is involved: every power_sum call derives its
 formula afresh, so every call is cold.
@@ -42,7 +44,7 @@ from time import perf_counter
 from typing import Callable, TypeVar
 
 import balsum
-from balsum.arith import ALPHA, QuadElem
+from balsum.arith import ALPHA, QuadElem, _text
 from balsum.laurent import (
     verify_even_power_identity,
     verify_odd_power_identity,
@@ -138,7 +140,7 @@ def quad_mul_rows() -> dict[str, float]:
 
 def output_rows() -> dict[str, dict[str, dict[str, float]]]:
     """Decimal output: whole tables by the int walk and str against the Decimal
-    walk, and str of one large integer."""
+    walk, and one large integer by str against the library's writer."""
     tables = {}
     for upto in TABLE_UPTOS:
         int_ms, by_int = timed(lambda: [str(v) for v in sequence_table(upto)])
@@ -150,7 +152,10 @@ def output_rows() -> dict[str, dict[str, dict[str, float]]]:
     for n in STR_INDICES:
         value = balancing(n)
         ms, digits = timed(lambda: str(value))
-        singles[str(n)] = {"digits": len(digits), "str": round(ms, 3)}
+        text_ms, text = timed(lambda: _text(value))
+        if text != digits:
+            raise SystemExit(f"_text(B({n})) disagrees with str")
+        singles[str(n)] = {"digits": len(digits), "str": round(ms, 3), "_text": round(text_ms, 3)}
     return {"table": tables, "str_B_n": singles}
 
 

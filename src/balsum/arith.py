@@ -14,11 +14,17 @@ pair of Fractions would reduce every intermediate.  The constants
 ALPHA = 3 + 2*sqrt(2) and BETA = 3 - 2*sqrt(2) are the two roots of
 x**2 - 6*x + 1; their powers drive every closed form in this package, and
 ALPHA*BETA = 1 makes negative powers of one expressible through the other.
+
+Every number the library writes or reads as text passes :func:`_text` or
+:func:`_rational`; both convert in exact ``decimal``, which never reads the
+interpreter's int/str digit limit.
 """
 
 from __future__ import annotations
 
+import decimal
 import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, TypeVar
@@ -40,15 +46,46 @@ def _check_at_least(name: str, value: int, low: int) -> None:
     lower-bound check of the library's integer arguments."""
     if value < low:
         bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
-        raise ValueError(f"{name} must be {bound}, got {value}")
+        raise ValueError(f"{name} must be {bound}, got {_text(value)}")
 
 
 def as_integer(value: Fraction | int, what: str = "result") -> int:
     """Strip a denominator that must be 1; hard error otherwise."""
     q = Fraction(value)
     if q.denominator != 1:
-        raise InexactResultError(f"{what} is not an integer: {q}")
+        raise InexactResultError(f"{what} is not an integer: {_text(q)}")
     return q.numerator
+
+
+def _exact_context() -> decimal.Context:
+    """The largest precision and exponent libmpdec allows, every rounding
+    trapped: a result that does not fit raises, it never loses a digit."""
+    signals = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=signals)
+
+
+def _text(value: RatLike) -> str:
+    """What ``str`` writes of an int or Fraction, at any number of digits;
+    the one writer of the library's numbers."""
+    context = _exact_context()
+    num, den = (context.to_sci_string(context.create_decimal(k)) for k in value.as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"
+
+
+# The spellings _text writes; every other one is left to Fraction.
+_WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational(text: str) -> Fraction:
+    """The rational a string spells, as ``Fraction(text)`` reads it; the one
+    reader of the library's numbers.  What :func:`_text` writes is read at
+    any number of digits."""
+    match = _WRITTEN.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return Fraction(text)
+    context = _exact_context()
+    num, den = (int(context.create_decimal(digits)) for digits in match.groups("1"))
+    return Fraction(num, den)
 
 
 class QuadElem:
@@ -57,8 +94,8 @@ class QuadElem:
     Stored as three integers (p, q, d) meaning (p + q*sqrt 2)/d, with d > 0
     and gcd(d, p, q) == 1, so each value has one representation and equality
     compares the triples.  An operation works on the integers and reduces
-    once at the end.  Coordinates are rationals so that division (by
-    4*sqrt(2), by powers of two, ...) stays inside the type; ``a`` and ``b``
+    once at the end.  Coordinates are rationals so that inverses (of
+    4*sqrt(2), of powers of two, ...) stay inside the type; ``a`` and ``b``
     read them as Fractions.  Values are immutable; all operators return new
     instances.  Mixed arithmetic with int and Fraction works and treats them
     as elements with b = 0.
@@ -131,18 +168,6 @@ class QuadElem:
     def __pow__(self, n: int) -> QuadElem:
         return _power(self, n, QUAD_ONE)
 
-    def __truediv__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = _triple(other)
-        if o is None:
-            return NotImplemented
-        return self * _canonical(*o).inverse()
-
-    def __rtruediv__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = _triple(other)
-        if o is None:
-            return NotImplemented
-        return _canonical(*o) * self.inverse()
-
     def __eq__(self, other: object) -> bool:
         o = _triple(other)  # type: ignore[arg-type]
         if o is None:
@@ -166,11 +191,6 @@ class QuadElem:
         """The sqrt(2)-conjugate a - b*sqrt(2)."""
         return _canonical(self._p, -self._q, self._d)
 
-    def norm(self) -> Fraction:
-        """a**2 - 2*b**2, the product with the conjugate."""
-        p, q, d = self._p, self._q, self._d
-        return Fraction(p * p - 2 * q * q, d * d)
-
     def inverse(self) -> QuadElem:
         """Multiplicative inverse; exists exactly when the element is nonzero.
 
@@ -186,16 +206,9 @@ class QuadElem:
 
     def __str__(self) -> str:
         if self._q == 0:
-            return str(self.a)
+            return _text(self.a)
         sign = "-" if self._q < 0 else "+"
-        return f"{self.a} {sign} {abs(self.b)}*sqrt2"
-
-    def to_json_dict(self) -> dict[str, str]:
-        return {"a": str(self.a), "b": str(self.b)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict[str, str]) -> QuadElem:
-        return cls(Fraction(data["a"]), Fraction(data["b"]))
+        return f"{_text(self.a)} {sign} {_text(abs(self.b))}*sqrt2"
 
 
 def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul) -> _T:

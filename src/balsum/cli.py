@@ -3,6 +3,8 @@
 Exit codes: 0 on success, also when the reader of stdout leaves early (as
 `| head` does); 1 when a verification or oracle comparison fails; 2 on usage
 errors.  JSON output is one document per invocation, big integers as strings.
+Every number is written by `arith._text`, so no output depends on the
+interpreter's int/str digit limit, and the limit is left as the caller set it.
 `gen` writes each row as it is made, by default from the exact decimal walk
 `sequences.decimal_table`; `sequence_table`, in ints, stays its oracle.
 `summation`, `laurent` and `json` load inside the handlers that use them.
@@ -16,6 +18,7 @@ import sys
 from typing import Callable, Sequence
 
 from . import sequences
+from .arith import _text
 from .linearize import linearize
 
 _GENERATORS: dict[tuple[str, str], Callable[[int], int]] = {
@@ -59,7 +62,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.method == "recurrence":
         values = sequences.decimal_table(args.upto, args.seq)
     else:
-        values = map(_GENERATORS[(args.seq, args.method)], range(args.upto + 1))
+        values = map(_text, map(_GENERATORS[(args.seq, args.method)], range(args.upto + 1)))
     head, row, foot = "", "{n}\t{value}\n", ""
     if args.format == "csv":
         head, row = "n,value\n", "{n},{value}\n"
@@ -89,18 +92,18 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     from .summation import brute_force_power_sum, power_sum
 
-    value = power_sum(args.m, args.power, args.upto)
-    oracle = brute_force_power_sum(args.m, args.power, args.upto) if args.oracle else None
+    value = _text(power_sum(args.m, args.power, args.upto))
+    oracle = _text(brute_force_power_sum(args.m, args.power, args.upto)) if args.oracle else None
     match = oracle is None or oracle == value
     if args.format == "json":
         doc: dict[str, object] = {
             "m": args.m,
             "power": args.power,
             "upto": args.upto,
-            "sum": str(value),
+            "sum": value,
         }
         if oracle is not None:
-            doc["oracle"] = str(oracle)
+            doc["oracle"] = oracle
             doc["match"] = match
         print(dump_json(doc))
     elif args.format == "csv":
@@ -126,7 +129,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
         print(dump_json(expr.to_json_dict()))
     else:
         print(expr.render())
-        print(f"check n=0: {expr.value_at(0)}")
+        print(f"check n=0: {_text(expr.value_at(0))}")
     return 0
 
 
@@ -215,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Outputs may hold integers over 4,300 digits, the default int/str limit;
-    # lift it for this call only (Python 3.10 before 3.10.7 has no limit).
-    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-    set_limit(0)
     try:
         status = args.func(args)
         sys.stdout.flush()
@@ -228,6 +226,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         status = 0
-    finally:
-        set_limit(previous)
     return status

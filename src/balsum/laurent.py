@@ -70,9 +70,6 @@ class LaurentPoly:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented

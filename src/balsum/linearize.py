@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import RatLike, _check_at_least, as_integer
+from .arith import RatLike, _check_at_least, _rational, _text, as_integer
 from .sequences import balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
@@ -102,11 +102,11 @@ class _AffineForm:
         for i, (coeff, body) in enumerate(pieces):
             mag = abs(coeff)
             if body is None:
-                text = str(mag)
+                text = _text(mag)
             elif mag == 1:
                 text = body
             else:
-                text = f"({mag})*{body}"
+                text = f"({_text(mag)})*{body}"
             if i == 0:
                 out.append(f"-{text}" if coeff < 0 else text)
             else:
@@ -145,17 +145,17 @@ class LinearForm(_AffineForm, _LinearFormFields):
     def to_json_dict(self) -> dict:
         return {
             "power": self.power,
-            "constant": str(self.constant),
+            "constant": _text(self.constant),
             "terms": [
-                {"multiplier": mult, "shift": shift, "coeff": str(coeff)}
+                {"multiplier": mult, "shift": shift, "coeff": _text(coeff)}
                 for (mult, shift), coeff in self.terms
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> LinearForm:
-        pairs = [((t["multiplier"], t["shift"]), Fraction(t["coeff"])) for t in data["terms"]]
-        return _build_form(data["power"], Fraction(data["constant"]), pairs)
+        pairs = [((t["multiplier"], t["shift"]), _rational(t["coeff"])) for t in data["terms"]]
+        return _build_form(data["power"], _rational(data["constant"]), pairs)
 
 
 def _merge(

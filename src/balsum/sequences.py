@@ -18,11 +18,10 @@ independently of the doubling, so each serves as a test oracle for it.
 
 from __future__ import annotations
 
-import decimal
 from itertools import islice
 from typing import Iterator
 
-from .arith import ALPHA, _check_at_least, _power, as_integer
+from .arith import ALPHA, _check_at_least, _exact_context, _power, as_integer
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -136,13 +135,6 @@ def sequence_table(upto: int, seq: str = "B") -> list[int]:
     of :func:`decimal_table`."""
     _check_index(upto, seq)
     return list(islice(_recurrence(seq), upto + 1))
-
-
-def _exact_context():
-    """The largest precision and exponent libmpdec allows, every rounding
-    trapped: a result that does not fit raises, it never loses a digit."""
-    signals = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
-    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=signals)
 
 
 def decimal_table(upto: int, seq: str = "B") -> Iterator[str]:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .arith import _check_at_least, as_integer
+from .arith import _check_at_least, _rational, _text, as_integer
 from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
 from .sequences import _recurrence, balancing, balancing_pair
 
@@ -128,22 +128,22 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
             "m": self.m,
             "power": self.power,
             "bterms": [
-                {"coeff": str(coeff), "stride": stride, "offset": offset}
+                {"coeff": _text(coeff), "stride": stride, "offset": offset}
                 for coeff, stride, offset in self.bterms
             ],
-            "linear_coeff": str(self.linear_coeff),
-            "constant": str(self.constant),
+            "linear_coeff": _text(self.linear_coeff),
+            "constant": _text(self.constant),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ClosedSumExpr:
-        bterms = tuple((Fraction(t["coeff"]), t["stride"], t["offset"]) for t in data["bterms"])
+        bterms = tuple((_rational(t["coeff"]), t["stride"], t["offset"]) for t in data["bterms"])
         return cls(
             data["m"],
             data["power"],
             bterms,
-            Fraction(data["linear_coeff"]),
-            Fraction(data["constant"]),
+            _rational(data["linear_coeff"]),
+            _rational(data["constant"]),
         )
 
 

@@ -1,8 +1,40 @@
 """Test-session settings: write no bytecode cache, in this process or in the
-subprocesses the CLI tests start, so a test run leaves the tree as it found it."""
+subprocesses the CLI tests start, so a test run leaves the tree as it found it.
+Fixtures that set the interpreter's int/str digit limit for one test."""
 
 import os
 import sys
+from contextlib import contextmanager
+
+import pytest
 
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+# The interpreter's default int/str digit limit.  Python 3.10 before 3.10.7
+# has no limit, and there the fixtures below change nothing.
+DEFAULT_DIGIT_LIMIT = 4300
+
+
+@contextmanager
+def _digit_limit(limit):
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(limit)
+    try:
+        yield
+    finally:
+        set_limit(previous)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run the test under the default limit, whatever the session set."""
+    with _digit_limit(DEFAULT_DIGIT_LIMIT):
+        yield
+
+
+@pytest.fixture
+def digit_limit():
+    """`with digit_limit(n):` sets the limit for a block; 0 lifts it."""
+    return _digit_limit

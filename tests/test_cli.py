@@ -542,6 +542,47 @@ def _env_with_src():
     return dict(os.environ, PYTHONPATH=path)
 
 
+class TestDigitLimitLeftAlone:
+    """Every number is written without the int/str digit limit, so the CLI
+    never sets it, and its output does not depend on it."""
+
+    def test_main_never_sets_the_limit(self, capsys, monkeypatch, default_digit_limit):
+        with no_digit_limit():
+            total = str(sum(b**3 for b in sequence_table(2000)))
+            formula = f"{power_sum_formula(3000, 2).render()}\ncheck n=0: 0\n"
+
+        def refuse(limit):
+            raise AssertionError(f"the int/str digit limit was set to {limit}")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        argv = ["sum", "--m", "1", "--power", "3", "--upto", "2000", "--oracle"]
+        assert run_cli(capsys, argv) == (0, f"{total}\noracle {total}\n")
+        assert run_cli(capsys, ["formula", "--m", "3000", "--power", "2"]) == (0, formula)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sum", "--m", "1", "--power", "3", "--upto", "2000", "--format", "csv"],
+            ["gen", "--method", "binet", "--upto", "1200"],
+        ],
+        ids=["sum", "gen_binet"],
+    )
+    def test_same_bytes_under_the_smallest_limit(self, argv):
+        # 640 digits is the smallest limit the interpreter accepts.
+        env = _env_with_src()
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "balsum", *argv], env=env, capture_output=True, timeout=120
+            )
+            for flags in ([], ["-X", "int_max_str_digits=640"])
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0
+        assert runs[0].stderr == runs[1].stderr == b""
+        assert runs[0].stdout == runs[1].stdout
+        assert max(map(len, runs[0].stdout.split(b"\n"))) > 640
+
+
 class TestReaderLeavesEarly:
     """A reader that closes stdout early, as `| head -1` or `| true` does,
     ends the request with status 0 and nothing on stderr."""

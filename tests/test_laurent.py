@@ -90,6 +90,12 @@ def test_evaluation_at_one_is_multiplicative(p, q):
     assert (p * q).evaluate(one) == p.evaluate(one) * q.evaluate(one)
 
 
+def test_polynomials_are_unhashable():
+    # Equality compares the coefficients; nothing hashes a polynomial.
+    with pytest.raises(TypeError):
+        hash(LaurentPoly.one())
+
+
 def test_evaluate_requires_invertible_point():
     with pytest.raises(ZeroDivisionError):
         X_INV.evaluate(QuadElem(0))

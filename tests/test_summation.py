@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,18 @@ def test_formula_json_round_trip():
         doc = expr.to_json_dict()
         assert list(doc) == ["m", "power", "bterms", "linear_coeff", "constant"]
         assert ClosedSumExpr.from_json_dict(doc) == expr
+
+
+def test_formula_over_digit_limit_renders_and_round_trips(default_digit_limit):
+    # A 4,596-digit denominator, written and read back in this process under
+    # the default int/str limit, with no caller lifting it.
+    expr = power_sum_formula(3000, 2)
+    assert max(c.denominator for c, _, _ in expr.bterms) > 10**4300
+    assert expr.render().endswith(")*B(6000n) - (1/16)*(n+1) + 1/32")
+    doc = json.loads(json.dumps(expr.to_json_dict()))
+    assert ClosedSumExpr.from_json_dict(doc) == expr
+    form = LinearForm(2, Fraction(-1, 10**5000 + 1), (((2, 1), Fraction(10**5000, 7)),))
+    assert LinearForm.from_json_dict(json.loads(json.dumps(form.to_json_dict()))) == form
 
 
 @settings(deadline=None)
