@@ -72,6 +72,24 @@ def _text(value: RatLike) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
+def _repr(value: object) -> str:
+    """What ``repr`` writes of an int, a Fraction or a tuple of them, at any
+    number of digits; any other value as ``repr`` writes it."""
+    if type(value) is int:
+        return _text(value)
+    if type(value) is Fraction:
+        return f"Fraction({_text(value.numerator)}, {_text(value.denominator)})"
+    if type(value) is tuple:
+        return f"({', '.join(map(_repr, value))}{',' * (len(value) == 1)})"
+    return repr(value)
+
+
+def _record_repr(record: tuple) -> str:
+    """The ``repr`` of a named tuple, each field written by :func:`_repr`."""
+    fields = ", ".join(f"{name}={_repr(value)}" for name, value in zip(record._fields, record))
+    return f"{type(record).__name__}({fields})"
+
+
 # The spellings _text writes; every other one is left to Fraction.
 _WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -185,7 +203,7 @@ class QuadElem:
         return self._p != 0 or self._q != 0
 
     def __repr__(self) -> str:
-        return f"QuadElem(a={self.a!r}, b={self.b!r})"
+        return f"QuadElem(a={_repr(self.a)}, b={_repr(self.b)})"
 
     def conj(self) -> QuadElem:
         """The sqrt(2)-conjugate a - b*sqrt(2)."""

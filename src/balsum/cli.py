@@ -28,27 +28,22 @@ _GENERATORS: dict[tuple[str, str], Callable[[int], int]] = {
     ("C", "binet"): sequences.lucas_balancing_binet,
 }
 
-# Full verification sweep used when `verify` is invoked with no bounds.
-_DEFAULT_ODD_MAX_L = 10
-_DEFAULT_EVEN_MAX_L = 6
-_DEFAULT_LEMMA_MAX_M = 20
 
+def _at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an integer flag whose value must be at least
+    ``low``, 0 or 1; the one check of every integer flag."""
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            bound = "non-negative" if value < 0 else "positive"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
 
-
-def _positive(text: str) -> int:
-    value = _nonneg(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be positive, got 0")
-    return value
+    return parse
 
 
 def dump_json(data: object) -> str:
@@ -92,33 +87,23 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 def _cmd_sum(args: argparse.Namespace) -> int:
     from .summation import brute_force_power_sum, power_sum
 
-    value = _text(power_sum(args.m, args.power, args.upto))
-    oracle = _text(brute_force_power_sum(args.m, args.power, args.upto)) if args.oracle else None
-    match = oracle is None or oracle == value
+    # The one record of a request, in the order every format writes it.
+    record: dict[str, object] = {"m": args.m, "power": args.power, "upto": args.upto}
+    record["sum"] = _text(power_sum(args.m, args.power, args.upto))
+    if args.oracle:
+        record["oracle"] = _text(brute_force_power_sum(args.m, args.power, args.upto))
+        record["match"] = record["oracle"] == record["sum"]
     if args.format == "json":
-        doc: dict[str, object] = {
-            "m": args.m,
-            "power": args.power,
-            "upto": args.upto,
-            "sum": value,
-        }
-        if oracle is not None:
-            doc["oracle"] = oracle
-            doc["match"] = match
-        print(dump_json(doc))
+        print(dump_json(record))
     elif args.format == "csv":
-        header = "m,power,upto,sum"
-        row = f"{args.m},{args.power},{args.upto},{value}"
-        if oracle is not None:
-            header += ",oracle,match"
-            row += f",{oracle},{str(match).lower()}"
-        print(header)
-        print(row)
+        print(",".join(record))
+        # The match is written true or false, as in JSON.
+        print(",".join(str(value).lower() for value in record.values()))
     else:
-        print(value)
-        if oracle is not None:
-            print(f"oracle {oracle}")
-    return 0 if match else 1
+        print(record["sum"])
+        if args.oracle:
+            print(f"oracle {record['oracle']}")
+    return 0 if record.get("match", True) else 1
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
@@ -136,30 +121,25 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import laurent
 
-    odd_max = args.odd_max_l
-    even_max = args.even_max_l
-    lemma_max = args.lemma_max_m
-    if odd_max is None and even_max is None and lemma_max is None:
-        odd_max = _DEFAULT_ODD_MAX_L
-        even_max = _DEFAULT_EVEN_MAX_L
-        lemma_max = _DEFAULT_LEMMA_MAX_M
-
-    cases: list[tuple[str, bool]] = []
-    if odd_max is not None:
-        for l in range(odd_max + 1):
-            cases.append((f"odd l={l}", laurent.verify_odd_power_identity(l)))
-    if even_max is not None:
-        for l in range(1, even_max + 1):
-            cases.append((f"even l={l}", laurent.verify_even_power_identity(l)))
-    if lemma_max is not None:
-        for m in range(2, lemma_max + 1):
-            cases.append((f"lemma m={m}", laurent.verify_subsequence_recurrence(m)))
-
-    failed = 0
-    for label, ok in cases:
-        print(f"{label}: {'PASS' if ok else 'FAIL'}")
-        failed += 0 if ok else 1
-    print(f"summary: {len(cases) - failed} passed, {failed} failed")
+    # Per family: the bound given, the label, the first case, the verifier,
+    # and the bound of the full sweep that runs when no bound is given.
+    families = [
+        (args.odd_max_l, "odd l", 0, laurent.verify_odd_power_identity, 10),
+        (args.even_max_l, "even l", 1, laurent.verify_even_power_identity, 6),
+        (args.lemma_max_m, "lemma m", 2, laurent.verify_subsequence_recurrence, 20),
+    ]
+    sweep = all(given is None for given, *_ in families)
+    cases = failed = 0
+    for given, label, first, verify, default in families:
+        last = default if sweep else given
+        if last is None:
+            continue
+        for k in range(first, last + 1):
+            ok = verify(k)
+            print(f"{label}={k}: {'PASS' if ok else 'FAIL'}")
+            cases += 1
+            failed += not ok
+    print(f"summary: {cases - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
 
@@ -170,23 +150,24 @@ def build_parser() -> argparse.ArgumentParser:
         "closed-form power sums, and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    nonneg, positive = _at_least(0), _at_least(1)
 
     gen = sub.add_parser("gen", help="emit (n, value) rows of B or C")
-    gen.add_argument("--upto", type=_nonneg, required=True, help="largest index to emit")
+    gen.add_argument("--upto", type=nonneg, required=True, help="largest index to emit")
     gen.add_argument("--seq", choices=["B", "C"], default="B")
     gen.add_argument("--method", choices=["recurrence", "fast", "binet"], default="recurrence")
     gen.add_argument("--format", choices=["text", "json", "csv"], default="text")
     gen.set_defaults(func=_cmd_gen)
 
     lin = sub.add_parser("linearize", help="express B(n)**power in linear terms")
-    lin.add_argument("--power", type=_positive, required=True)
+    lin.add_argument("--power", type=positive, required=True)
     lin.add_argument("--format", choices=["text", "json"], default="text")
     lin.set_defaults(func=_cmd_linearize)
 
     psum = sub.add_parser("sum", help="evaluate sum of B(k*m)**power for k = 0..upto")
-    psum.add_argument("--m", type=_positive, required=True, help="index spacing")
-    psum.add_argument("--power", type=_positive, required=True)
-    psum.add_argument("--upto", type=_nonneg, required=True)
+    psum.add_argument("--m", type=positive, required=True, help="index spacing")
+    psum.add_argument("--power", type=positive, required=True)
+    psum.add_argument("--upto", type=nonneg, required=True)
     psum.add_argument(
         "--oracle",
         action="store_true",
@@ -196,21 +177,18 @@ def build_parser() -> argparse.ArgumentParser:
     psum.set_defaults(func=_cmd_sum)
 
     formula = sub.add_parser("formula", help="emit the symbolic closed form of the sum")
-    formula.add_argument("--m", type=_positive, required=True, help="index spacing")
-    formula.add_argument("--power", type=_positive, required=True)
+    formula.add_argument("--m", type=positive, required=True, help="index spacing")
+    formula.add_argument("--power", type=positive, required=True)
     formula.add_argument("--format", choices=["text", "json"], default="text")
     formula.set_defaults(func=_cmd_formula)
 
     verify = sub.add_parser("verify", help="verify identities by Laurent expansion")
-    verify.add_argument(
-        "--odd-max-l", type=_nonneg, default=None, help="check odd powers for l = 0..N"
-    )
-    verify.add_argument(
-        "--even-max-l", type=_nonneg, default=None, help="check even powers for l = 1..N"
-    )
-    verify.add_argument(
-        "--lemma-max-m", type=_nonneg, default=None, help="check subsequence recurrences for m = 2..N"
-    )
+    for flag, what in [
+        ("--odd-max-l", "odd powers for l = 0..N"),
+        ("--even-max-l", "even powers for l = 1..N"),
+        ("--lemma-max-m", "subsequence recurrences for m = 2..N"),
+    ]:
+        verify.add_argument(flag, type=nonneg, help=f"check {what}")
     verify.set_defaults(func=_cmd_verify)
 
     return parser

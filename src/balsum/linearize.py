@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import RatLike, _check_at_least, _rational, _text, as_integer
+from .arith import RatLike, _check_at_least, _rational, _record_repr, _text, as_integer
 from .sequences import balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
@@ -70,6 +70,7 @@ class _AffineForm:
     constant: Fraction
     linear_coeff: RatLike
     bterms: tuple[BTerm, ...]
+    __repr__ = _record_repr
 
     def exact_value_at(self, n: int) -> Fraction:
         """Evaluate at n without the integrality check."""

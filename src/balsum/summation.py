@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .arith import _check_at_least, _rational, _text, as_integer
+from .arith import _check_at_least, _rational, _record_repr, _text, as_integer
 from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
 from .sequences import _recurrence, balancing, balancing_pair
 
@@ -33,6 +33,7 @@ class GFParams(NamedTuple):
     numer: int
     middle: int
     m: int
+    __repr__ = _record_repr
 
 
 def gf_params(m: int) -> GFParams:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balsum import laurent, summation
 from balsum.cli import build_parser, dump_json, main
 from balsum.sequences import balancing_pair, sequence_table
 from balsum.summation import ClosedSumExpr, power_sum_formula
@@ -331,6 +332,23 @@ class TestSum:
             main(["sum", "--m", "0", "--power", "1", "--upto", "3"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_oracle_mismatch_exits_one(self, capsys, monkeypatch, fmt):
+        # 1 + 6 + 35 + 204 + 1189 = 1435; the closed form is made off by one.
+        real = summation.power_sum
+        monkeypatch.setattr(summation, "power_sum", lambda m, l, n: real(m, l, n) + 1)
+        argv = ["sum", "--m", "1", "--power", "1", "--upto", "5", "--oracle", "--format", fmt]
+        code, out = run_cli(capsys, argv)
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out) == {
+                "m": 1, "power": 1, "upto": 5, "sum": "1436", "oracle": "1435", "match": False
+            }
+        elif fmt == "csv":
+            assert out == "m,power,upto,sum,oracle,match\n1,1,5,1436,1435,false\n"
+        else:
+            assert out == "1436\noracle 1435\n"
+
 
 class TestFormula:
     def test_text_render(self, capsys):
@@ -396,6 +414,43 @@ class TestVerify:
         lines = out.strip().splitlines()
         # 11 odd + 6 even + 19 lemma cases
         assert lines[-1] == "summary: 36 passed, 0 failed"
+
+    def test_failing_case_exits_one(self, capsys, monkeypatch):
+        real = laurent.verify_even_power_identity
+        monkeypatch.setattr(laurent, "verify_even_power_identity", lambda l: l != 2 and real(l))
+        code, out = run_cli(capsys, ["verify", "--odd-max-l", "1", "--even-max-l", "3"])
+        assert code == 1
+        assert out.splitlines() == [
+            "odd l=0: PASS",
+            "odd l=1: PASS",
+            "even l=1: PASS",
+            "even l=2: FAIL",
+            "even l=3: PASS",
+            "summary: 4 passed, 1 failed",
+        ]
+
+
+class TestUsageMessages:
+    """One integer flag type writes every integer flag's message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--upto", "-1"], "balsum gen: error: argument --upto: must be non-negative, got -1"),
+            (["sum", "--m", "0", "--power", "1", "--upto", "3"], "balsum sum: error: argument --m: must be positive, got 0"),
+            (["linearize", "--power", "x"], "balsum linearize: error: argument --power: not an integer: 'x'"),
+            (["formula", "--m", "1", "--power", "-2"], "balsum formula: error: argument --power: must be non-negative, got -2"),
+            (["verify", "--lemma-max-m", "1.5"], "balsum verify: error: argument --lemma-max-m: not an integer: '1.5'"),
+        ],
+    )
+    def test_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: balsum {argv[0]} ")
+        assert captured.err.endswith(f"\n{message}\n")
 
 
 class TestParser:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences, summation
+from balsum.arith import QuadElem
 from balsum.linearize import LinearForm, linearize
 from balsum.sequences import balancing, balancing_pair, lucas_balancing
 from balsum.summation import (
@@ -214,6 +215,24 @@ def test_formula_over_digit_limit_renders_and_round_trips(default_digit_limit):
     assert ClosedSumExpr.from_json_dict(doc) == expr
     form = LinearForm(2, Fraction(-1, 10**5000 + 1), (((2, 1), Fraction(10**5000, 7)),))
     assert LinearForm.from_json_dict(json.loads(json.dumps(form.to_json_dict()))) == form
+
+
+def test_reprs_over_digit_limit(default_digit_limit, digit_limit):
+    # Under the default int/str limit each repr writes what repr writes of
+    # its fields with the limit lifted; the form's one term is a 1-tuple.
+    expr, params = power_sum_formula(3000, 2), gf_params(6000)
+    quad = QuadElem(Fraction(1, 10**5000 + 1), 1)
+    form = LinearForm(2, Fraction(-1, 10**5000 + 1), (((2, 1), Fraction(10**5000, 7)),))
+    texts = [repr(expr), repr(params), repr(quad), repr(form)]
+    with digit_limit(0):
+        assert texts == [
+            f"ClosedSumExpr(m=3000, power=2, bterms={expr.bterms!r}, "
+            f"linear_coeff={expr.linear_coeff!r}, constant={expr.constant!r})",
+            f"GFParams(numer={params.numer!r}, middle={params.middle!r}, m=6000)",
+            f"QuadElem(a={quad.a!r}, b=Fraction(1, 1))",
+            f"LinearForm(power=2, constant={form.constant!r}, terms={form.terms!r})",
+        ]
+    assert max(map(len, texts)) > 9000
 
 
 @settings(deadline=None)
