@@ -4,9 +4,11 @@
 
 It times B(n) for n = 10**3 .. 10**6 by each generator (the doubling pair,
 the matrix power and Binet), and power_sum against brute_force_power_sum at
-l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree.  It times the
-QuadElem multiply on small rationals (a batch of products) and on operands
-the size of ALPHA**(10**5), and each Laurent verifier at one bound (odd
+l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree, and beside
+them the derivation power_sum_formula(m, l) alone: power_sum is that
+derivation plus one evaluation at n.  It times the QuadElem multiply on
+small rationals (a batch of products) and on operands the size of
+ALPHA**(10**5), and each Laurent verifier at one bound (odd
 l = 30, even l = 20, the subsequence lemma at m = 200, and the closed power
 sums for every m <= 6, l <= 8), checking that each proof holds.  It times
 decimal output: a table of B at 0..upto for upto = 1,000, 3,000 and 7,000 as
@@ -59,7 +61,7 @@ from balsum.sequences import (
     decimal_table,
     sequence_table,
 )
-from balsum.summation import brute_force_power_sum, power_sum
+from balsum.summation import brute_force_power_sum, power_sum, power_sum_formula
 
 T = TypeVar("T")
 
@@ -189,13 +191,15 @@ def main() -> None:
     for size in SIZES:
         for m, l in SHAPES:
             n = size // (l * m)
+            formula_ms, _ = timed(lambda: power_sum_formula(m, l))
             closed_ms, closed = timed(lambda: power_sum(m, l, n))
             brute_ms, brute = timed(lambda: brute_force_power_sum(m, l, n))
             if closed != brute:
                 raise SystemExit(f"power_sum({m}, {l}, {n}) disagrees with brute force")
             sums.append(
                 {"m": m, "l": l, "n": n, "lmn": l * m * n,
-                 "power_sum_ms": round(closed_ms, 3), "brute_force_ms": round(brute_ms, 3)}
+                 "formula_ms": round(formula_ms, 3), "power_sum_ms": round(closed_ms, 3),
+                 "brute_force_ms": round(brute_ms, 3)}
             )
     verifiers = {}
     for name, verify in VERIFIERS.items():

@@ -71,6 +71,11 @@ class _AffineForm:
     linear_coeff: RatLike
     bterms: tuple[BTerm, ...]
     __repr__ = _record_repr
+    # Set by each form for :func:`_merge`: the names of a key's two parts, the
+    # order of the keys, and the term made of a key and its coefficient.
+    _key_names: tuple[str, str]
+    _order: Callable[[TermKey], tuple[int, int]]
+    _term: Callable[[TermKey, Fraction], tuple]
 
     def exact_value_at(self, n: int) -> Fraction:
         """Evaluate at n without the integrality check."""
@@ -83,8 +88,8 @@ class _AffineForm:
 
     @staticmethod
     def _label(stride: int, offset: int) -> str:
-        """B(jn+o), B(jn) at offset 0, and n alone at stride 1."""
-        head = "n" if stride == 1 else f"{stride}n"
+        """B(jn+o), B(jn) at offset 0, and n alone at stride 1 (-n at -1)."""
+        head = {1: "n", -1: "-n"}.get(stride, f"{stride}n")
         return f"B({head})" if offset == 0 else f"B({head}{offset:+d})"
 
     def render(self) -> str:
@@ -130,6 +135,9 @@ class LinearForm(_AffineForm, _LinearFormFields):
 
     __slots__ = ()
     linear_coeff = 0
+    _key_names = ("multiplier", "shift")
+    _order = staticmethod(lambda key: (-key[0], key[1]))
+    _term = staticmethod(lambda key, coeff: (key, coeff))
 
     @property
     def bterms(self) -> tuple[BTerm, ...]:
@@ -156,21 +164,21 @@ class LinearForm(_AffineForm, _LinearFormFields):
     @classmethod
     def from_json_dict(cls, data: dict) -> LinearForm:
         pairs = [((t["multiplier"], t["shift"]), _rational(t["coeff"])) for t in data["terms"]]
-        return _build_form(data["power"], _rational(data["constant"]), pairs)
+        return cls(data["power"], _rational(data["constant"]), _merge(cls, pairs))
 
 
-def _merge(
-    pairs: Iterable[tuple[TermKey, Fraction]], order: Callable[[TermKey], tuple[int, int]]
-) -> list[tuple[TermKey, Fraction]]:
-    """Sum the coefficients of equal keys, drop zero sums, and sort by ``order``."""
+def _merge(form: type[_AffineForm], pairs: Iterable[tuple[TermKey, Fraction]]) -> tuple[tuple, ...]:
+    """The canonical terms of a ``form`` record, derived or read: keys of two
+    ints (anything else, a bool too, raises ValueError), the coefficients of
+    equal keys summed, zero sums dropped, sorted by ``form._order``."""
     merged: dict[TermKey, Fraction] = {}
     for key, coeff in pairs:
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    return sorted(((k, c) for k, c in merged.items() if c != 0), key=lambda kv: order(kv[0]))
-
-
-def _build_form(power: int, constant: Fraction, pairs: Iterable[tuple[TermKey, Fraction]]) -> LinearForm:
-    return LinearForm(power, constant, tuple(_merge(pairs, lambda key: (-key[0], key[1]))))
+        for name, part in zip(form._key_names, key):
+            if type(part) is not int:
+                raise ValueError(f"{form.__name__} term {name} must be an integer, got {part!r}")
+        merged[key] = merged[key] + coeff if key in merged else coeff
+    keys = sorted((key for key, coeff in merged.items() if coeff), key=form._order)
+    return tuple(form._term(key, merged[key]) for key in keys)
 
 
 def _power_form(power: int) -> LinearForm:
@@ -193,7 +201,7 @@ def _power_form(power: int) -> LinearForm:
             pairs.append(((j, 1), Fraction(2 * top, denom * b_j)))
             pairs.append(((j, 0), Fraction(-2 * top * c_j, denom * b_j)))
     constant = Fraction(0) if power % 2 else Fraction((-1) ** half * comb(power, half), denom)
-    return _build_form(power, constant, pairs)
+    return LinearForm(power, constant, _merge(LinearForm, pairs))
 
 
 def linearize_odd(l: int) -> LinearForm:

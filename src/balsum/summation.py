@@ -119,10 +119,15 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
 
     Evaluates as constant + linear_coeff*(n+1) + sum of
     coeff * B(stride*n + offset) over ``bterms``; the result is an exact
-    integer for every n >= 0.
+    integer for every n >= 0.  ``bterms`` is sorted by stride, then offset,
+    descending, holds no zero coefficients, and has unique (stride, offset)
+    keys, so equal sums compare equal.
     """
 
     __slots__ = ()
+    _key_names = ("stride", "offset")
+    _order = staticmethod(lambda key: (-key[0], -key[1]))
+    _term = staticmethod(lambda key, coeff: (coeff, *key))
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,14 +143,9 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ClosedSumExpr:
-        bterms = tuple((_rational(t["coeff"]), t["stride"], t["offset"]) for t in data["bterms"])
-        return cls(
-            data["m"],
-            data["power"],
-            bterms,
-            _rational(data["linear_coeff"]),
-            _rational(data["constant"]),
-        )
+        pairs = [((t["stride"], t["offset"]), _rational(t["coeff"])) for t in data["bterms"]]
+        linear_coeff, constant = _rational(data["linear_coeff"]), _rational(data["constant"])
+        return cls(data["m"], data["power"], _merge(cls, pairs), linear_coeff, constant)
 
 
 def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
@@ -154,17 +154,12 @@ def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
     At the index k*m, each term coeff * B(stride*x + offset) of the
     linearization of B(x)**l becomes coeff * B((stride*m)*k + offset), an
     equally spaced shifted sum.  Its telescoped parts, scaled by coeff, are
-    merged by (stride, offset); the linearization constant becomes the
+    the terms of the closed form; the linearization constant becomes the
     coefficient of (n+1).
     """
     _check_at_least("m", m, 1)
     form = linearize(l)
-    pairs: list[tuple[tuple[int, int], Fraction]] = []
-    constant = Fraction(0)
-    for coeff, stride, offset in form.bterms:
-        pair, pair_constant = _shifted_sum_parts(stride * m, offset)
-        pairs += [((s, o), coeff * q) for q, s, o in pair]
-        constant += coeff * pair_constant
-    merged = _merge(pairs, lambda key: (-key[0], -key[1]))
-    bterms = tuple((coeff, s, o) for (s, o), coeff in merged)
-    return ClosedSumExpr(m, l, bterms, form.constant, constant)
+    parts = [(coeff, *_shifted_sum_parts(stride * m, offset)) for coeff, stride, offset in form.bterms]
+    pairs = [((s, o), coeff * q) for coeff, pair, _ in parts for q, s, o in pair]
+    constant = sum(coeff * pair_constant for coeff, _, pair_constant in parts)
+    return ClosedSumExpr(m, l, _merge(ClosedSumExpr, pairs), form.constant, constant)

@@ -12,13 +12,14 @@ sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 # The interpreter's default int/str digit limit.  Python 3.10 before 3.10.7
-# has no limit, and there the fixtures below change nothing.
+# has no limit: there it reads 0, and the fixtures below change nothing.
 DEFAULT_DIGIT_LIMIT = 4300
+get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 @contextmanager
 def _digit_limit(limit):
-    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    previous = get_digit_limit()
     set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
     set_limit(limit)
     try:

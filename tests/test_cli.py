@@ -12,7 +12,7 @@ import os
 import shlex
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from balsum import laurent, summation
 from balsum.cli import build_parser, dump_json, main
 from balsum.sequences import balancing_pair, sequence_table
 from balsum.summation import ClosedSumExpr, power_sum_formula
+from conftest import get_digit_limit
 
 
 def run_cli(capsys, argv):
@@ -39,29 +40,12 @@ def gen_document(seq, method, upto):
 
 
 def gen_output(seq, method, upto, fmt):
-    """`gen` output rendered from the recurrence table by `str`."""
-    with no_digit_limit():
-        if fmt == "json":
-            return gen_document(seq, method, upto)
-        head, sep = ("n,value\n", ",") if fmt == "csv" else ("", "\t")
-        return head + "".join(f"{n}{sep}{v}\n" for n, v in enumerate(sequence_table(upto, seq)))
-
-
-# Python 3.10 before 3.10.7 has no int/str digit limit.
-get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
-
-
-@contextmanager
-def no_digit_limit():
-    """Lift the int/str digit limit to read the expected values of the
-    tests over it."""
-    previous = get_digit_limit()
-    set_digit_limit(0)
-    try:
-        yield
-    finally:
-        set_digit_limit(previous)
+    """`gen` output rendered from the recurrence table by `str`; a caller over
+    the int/str digit limit lifts it."""
+    if fmt == "json":
+        return gen_document(seq, method, upto)
+    head, sep = ("n,value\n", ",") if fmt == "csv" else ("", "\t")
+    return head + "".join(f"{n}{sep}{v}\n" for n, v in enumerate(sequence_table(upto, seq)))
 
 
 def readme_examples():
@@ -188,20 +172,22 @@ class TestGen:
         assert out == gen_output(seq, method, upto, fmt)
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_recurrence_above_the_digit_line_matches_the_table_oracle(self, capsys, fmt):
+    def test_recurrence_above_the_digit_line_matches_the_table_oracle(self, capsys, digit_limit, fmt):
         code, out = run_cli(capsys, ["gen", "--upto", "5700", "--format", fmt])
         assert code == 0
+        with digit_limit(0):
+            expected = gen_output("B", "recurrence", 5700, fmt)
         # Compared as lists of lines, whose mismatch pytest reports quickly.
-        assert out.split("\n") == gen_output("B", "recurrence", 5700, fmt).split("\n")
+        assert out.split("\n") == expected.split("\n")
 
-    def test_twelve_thousand_rows(self, capsys):
+    def test_twelve_thousand_rows(self, capsys, digit_limit):
         # About 55 MB; with int's quadratic str this request takes seconds.
         code, out = run_cli(capsys, ["gen", "--upto", "12000", "--format", "csv"])
         assert code == 0
         assert out.count("\n") == 12002
         n, value = out[out.rindex("\n", 0, -1) + 1 :].split(",")
         assert int(n) == 12000
-        with no_digit_limit():
+        with digit_limit(0):
             assert int(value) == balancing_pair(12000)[0]
 
     def test_leaves_the_callers_decimal_context(self, capsys):
@@ -530,7 +516,8 @@ def test_any_argv_ends_in_a_defined_exit_code(argv):
 
 class TestOverDigitLimit:
     """Outputs holding integers of more than 4,300 digits, the default
-    int/str limit: the CLI lifts the limit for the call and restores it."""
+    int/str limit: the CLI writes them, and the limit is as it was after the
+    call."""
 
     def run_restoring_limit(self, capsys, argv):
         limit = get_digit_limit()
@@ -539,7 +526,7 @@ class TestOverDigitLimit:
         return code, out
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_gen_table(self, capsys, fmt):
+    def test_gen_table(self, capsys, digit_limit, fmt):
         code, out = self.run_restoring_limit(capsys, ["gen", "--upto", "6000", "--format", fmt])
         assert code == 0
         if fmt == "json":
@@ -548,12 +535,12 @@ class TestOverDigitLimit:
         else:
             n, value = out.splitlines()[-1].split("\t" if fmt == "text" else ",")
         assert int(n) == 6000
-        with no_digit_limit():
+        with digit_limit(0):
             assert len(value) > 4300
             assert int(value) == sequence_table(6000)[-1]
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_power_sum_with_oracle(self, capsys, fmt):
+    def test_power_sum_with_oracle(self, capsys, digit_limit, fmt):
         argv = ["sum", "--m", "1", "--power", "3", "--upto", "2000", "--oracle", "--format", fmt]
         code, out = self.run_restoring_limit(capsys, argv)
         assert code == 0
@@ -570,18 +557,18 @@ class TestOverDigitLimit:
             oracle = oracle_line.removeprefix("oracle ")
             match = oracle == value
         assert match is True and value == oracle
-        with no_digit_limit():
+        with digit_limit(0):
             assert len(value) > 4300
             assert int(value) == sum(b**3 for b in sequence_table(2000))
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_formula_with_long_coefficients(self, capsys, fmt):
+    def test_formula_with_long_coefficients(self, capsys, digit_limit, fmt):
         # The closed form of sum B(3000k)**2 has a 4,596-digit denominator.
         argv = ["formula", "--m", "3000", "--power", "2", "--format", fmt]
         code, out = self.run_restoring_limit(capsys, argv)
         assert code == 0
         expr = power_sum_formula(3000, 2)
-        with no_digit_limit():
+        with digit_limit(0):
             if fmt == "json":
                 assert ClosedSumExpr.from_json_dict(json.loads(out)) == expr
             else:
@@ -601,8 +588,8 @@ class TestDigitLimitLeftAlone:
     """Every number is written without the int/str digit limit, so the CLI
     never sets it, and its output does not depend on it."""
 
-    def test_main_never_sets_the_limit(self, capsys, monkeypatch, default_digit_limit):
-        with no_digit_limit():
+    def test_main_never_sets_the_limit(self, capsys, monkeypatch, default_digit_limit, digit_limit):
+        with digit_limit(0):
             total = str(sum(b**3 for b in sequence_table(2000)))
             formula = f"{power_sum_formula(3000, 2).render()}\ncheck n=0: 0\n"
 

@@ -312,3 +312,48 @@ def test_record_types_keep_repr_equality_hash_and_immutability():
         for attr in (field, "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, attr, 0)
+
+
+def test_equal_closed_sums_read_from_json_are_equal():
+    # B(3n) once, and as two halves beside a zero term: one value, one record.
+    expr = power_sum_formula(2, 1)
+    whole = _json_with_bterms(expr, [(1, 3, 0)], expr.constant)
+    halves = _json_with_bterms(expr, [(Fraction(1, 2), 3, 0)] * 2 + [(0, 2, 1)], expr.constant)
+    one, other = ClosedSumExpr.from_json_dict(whole), ClosedSumExpr.from_json_dict(halves)
+    assert one == other and hash(one) == hash(other)
+    assert other.render() == "B(3n) - 3/16"
+
+
+def test_readers_sum_duplicate_keys_and_drop_zero_terms():
+    expr = power_sum_formula(2, 1)
+    bterms = [(2, 1, 0), (-2, 1, 0), (1, 2, 0), (Fraction(1, 3), 2, 2), (Fraction(2, 3), 2, 2), (-1, 1, 5)]
+    read = ClosedSumExpr.from_json_dict(_json_with_bterms(expr, bterms, expr.constant))
+    assert read.bterms == ((1, 2, 2), (1, 2, 0), (-1, 1, 5))
+    terms = [(3, 0, "1/4"), (1, 1, "1"), (3, 0, "-1/4"), (1, 0, "2"), (1, 1, "-1/2")]
+    doc = {
+        "power": 1,
+        "constant": "0",
+        "terms": [{"multiplier": j, "shift": s, "coeff": c} for j, s, c in terms],
+    }
+    assert LinearForm.from_json_dict(doc).terms == (((1, 0), 2), ((1, 1), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5, "1", True, False], ids=repr)
+@pytest.mark.parametrize("field", ["multiplier", "shift", "stride", "offset"])
+def test_readers_reject_keys_that_are_not_integers(field, value):
+    if field in ("multiplier", "shift"):
+        term = {"multiplier": 1, "shift": 0, "coeff": "1", field: value}
+        reader, doc = LinearForm, {"power": 1, "constant": "0", "terms": [term]}
+    else:
+        term = {"coeff": "1", "stride": 1, "offset": 0, field: value}
+        reader, doc = ClosedSumExpr, dict(power_sum_formula(1, 1).to_json_dict(), bterms=[term])
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        reader.from_json_dict(doc)
+
+
+def test_render_negative_stride():
+    # Stride -1 reads B(-n), as stride 1 reads B(n).
+    expr = power_sum_formula(1, 1)
+    bterms = [(1, -1, 0), (-2, -1, 3), (1, -2, 0)]
+    doc = dict(_json_with_bterms(expr, bterms, 0), linear_coeff="0")
+    assert ClosedSumExpr.from_json_dict(doc).render() == "-(2)*B(-n+3) + B(-n) + B(-2n)"
