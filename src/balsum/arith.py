@@ -94,11 +94,13 @@ def _record_repr(record: tuple) -> str:
 _WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(text: str) -> Fraction:
-    """The rational a string spells, as ``Fraction(text)`` reads it; the one
-    reader of the library's numbers.  What :func:`_text` writes is read at
-    any number of digits."""
-    match = _WRITTEN.fullmatch(text) if isinstance(text, str) else None
+def _rational(text: str | int) -> Fraction:
+    """The rational a string spells, as ``Fraction(text)`` reads it, or an int;
+    any other value (a float, a bool, None) raises ValueError.  The one reader
+    of the library's numbers: it reads what :func:`_text` writes at any size."""
+    if type(text) not in (str, int):
+        raise ValueError(f"a number must be a string or an integer, got {text!r}")
+    match = _WRITTEN.fullmatch(text) if type(text) is str else None
     if match is None:
         return Fraction(text)
     context = _exact_context()

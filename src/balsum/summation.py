@@ -4,11 +4,10 @@ The backbone is the generating function of the subsequence B(k*m):
 
     sum_k B(k*m) z**k  =  B(m)*z / (1 - 2*C(m)*z + z**2)
 
-whose partial sums telescope.  :func:`_shifted_sum_parts` derives the
-telescoped sum of B(k*M + R) once, from :func:`gf_params`; :func:`closed_sum`
-and :func:`shifted_closed_sum` evaluate it, and :func:`power_sum_formula`
-applies it to every term of the linearization of B(n)**l: an exact closed
-form of sum_{0<=k<=n} B(k*m)**l, which :func:`power_sum` evaluates.
+whose partial sums telescope.  :func:`_summed`, the one derivation, sums a
+linear form F into the :class:`ClosedSumExpr` of sum_{0<=k<=n} F(k*m): of
+B(x)**l in :func:`power_sum_formula` (evaluated by :func:`power_sum`), of
+B(x + r) in :func:`shifted_closed_sum` and :func:`closed_sum`, which evaluate it.
 
 :class:`ClosedSumExpr` shares the exact evaluator, integrality check and text
 renderer of :class:`~balsum.linearize.LinearForm`; it adds the coefficient of
@@ -21,8 +20,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
-from .arith import _check_at_least, _rational, _record_repr, _text, as_integer
-from .linearize import BTerm, _AffineForm, _affine_value, _merge, linearize
+from .arith import _check_at_least, _rational, _record_repr, _text
+from .linearize import BTerm, LinearForm, TermKey, _AffineForm, _integer, _merge, linearize
 from .sequences import _recurrence, balancing, balancing_pair
 
 
@@ -58,42 +57,23 @@ def subsequence_gf_check(m: int, n_terms: int) -> bool:
     return True
 
 
-def _shifted_sum_parts(stride: int, offset: int) -> tuple[tuple[BTerm, BTerm], Fraction]:
-    """The telescoped sum_{0<=k<=n} B(k*stride + offset), symbolic in n.
-
-    With q = 1/(gf_params(stride).middle - 2) (a stride below 1 raises there),
-    returns q*B(stride*n + stride + offset) - q*B(stride*n + offset) as a pair
-    of terms and the constant q*(B(offset) - B(stride + offset)) + B(offset).
-    """
-    q = Fraction(1, gf_params(stride).middle - 2)
-    b_offset = balancing(offset)
-    pair = ((q, stride, stride + offset), (-q, stride, offset))
-    return pair, q * (b_offset - balancing(stride + offset)) + b_offset
-
-
 def closed_sum(m: int, n: int) -> int:
     """sum_{0<=k<=n} B(k*m) in closed form: :func:`shifted_closed_sum` at r = 0."""
     return shifted_closed_sum(m, 0, n)
 
 
 def shifted_closed_sum(m: int, r: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m + r), evaluated from :func:`_shifted_sum_parts`.
-
-    The formula is pinned to the direct-summation oracle over a grid of
-    (m, r, n) in the test suite.
-    """
+    """sum_{0<=k<=n} B(k*m + r): :func:`_summed` of the one-term form B(x + r)
+    at n, pinned to direct summation over an (m, r, n) grid in the tests."""
     _check_at_least("r", r, 0)
-    pair, constant = _shifted_sum_parts(m, r)
-    return as_integer(_affine_value(constant, 0, pair, n), f"shifted sum m={m}, r={r}, n={n}")
+    term = LinearForm(1, Fraction(0), _merge(LinearForm, [((1, r), Fraction(1))]))
+    return _summed(m, term).value_at(n)
 
 
 def brute_force_power_sum(m: int, l: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m)**l by direct exponentiation; the test oracle for
-    every closed form in this module.
-
-    It takes every m-th value of one walk of the recurrence, so it shares no
-    code with the doubling evaluator behind the closed forms.
-    """
+    """sum_{0<=k<=n} B(k*m)**l by direct exponentiation, the test oracle of
+    every closed form in this module: every m-th value of one walk of the
+    recurrence, so it shares no code with the doubling evaluator behind them."""
     _check_at_least("m", m, 1)
     _check_at_least("l", l, 1)
     _check_at_least("n", n, 0)
@@ -144,22 +124,31 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
     @classmethod
     def from_json_dict(cls, data: dict) -> ClosedSumExpr:
         pairs = [((t["stride"], t["offset"]), _rational(t["coeff"])) for t in data["bterms"]]
+        m, power = (_integer(cls, name, data[name], positive=True) for name in ("m", "power"))
         linear_coeff, constant = _rational(data["linear_coeff"]), _rational(data["constant"])
-        return cls(data["m"], data["power"], _merge(cls, pairs), linear_coeff, constant)
+        return cls(m, power, _merge(cls, pairs), linear_coeff, constant)
+
+
+def _summed(m: int, form: LinearForm) -> ClosedSumExpr:
+    """The closed form of sum_{0<=k<=n} F(k*m) of a linear form F: at x = k*m,
+    F's term coeff * B(stride*x + offset) is coeff * B(M*k + offset) with
+    M = stride*m (below 1 raises in :func:`gf_params`), and with
+    q = coeff/(gf_params(M).middle - 2) it telescopes to q*B(M*n + M + offset)
+    - q*B(M*n + offset) + q*(B(offset) - B(M + offset)) + coeff*B(offset).
+    F's constant becomes the coefficient of (n+1)."""
+    pairs: list[tuple[TermKey, Fraction]] = []
+    constant = Fraction(0)
+    for coeff, stride, offset in form.bterms:
+        step = stride * m
+        q = coeff / (gf_params(step).middle - 2)
+        b_offset = balancing(offset)
+        pairs += [((step, step + offset), q), ((step, offset), -q)]
+        constant += q * (b_offset - balancing(step + offset)) + coeff * b_offset
+    return ClosedSumExpr(m, form.power, _merge(ClosedSumExpr, pairs), form.constant, constant)
 
 
 def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
-    """The symbolic closed form of sum_{0<=k<=n} B(k*m)**l.
-
-    At the index k*m, each term coeff * B(stride*x + offset) of the
-    linearization of B(x)**l becomes coeff * B((stride*m)*k + offset), an
-    equally spaced shifted sum.  Its telescoped parts, scaled by coeff, are
-    the terms of the closed form; the linearization constant becomes the
-    coefficient of (n+1).
-    """
+    """The symbolic closed form of sum_{0<=k<=n} B(k*m)**l: :func:`_summed`
+    of the linearization of B(x)**l."""
     _check_at_least("m", m, 1)
-    form = linearize(l)
-    parts = [(coeff, *_shifted_sum_parts(stride * m, offset)) for coeff, stride, offset in form.bterms]
-    pairs = [((s, o), coeff * q) for coeff, pair, _ in parts for q, s, o in pair]
-    constant = sum(coeff * pair_constant for coeff, _, pair_constant in parts)
-    return ClosedSumExpr(m, l, _merge(ClosedSumExpr, pairs), form.constant, constant)
+    return _summed(m, linearize(l))

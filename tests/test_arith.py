@@ -328,8 +328,12 @@ class TestTextAndRational:
             assert _rational(text) == expected
 
     def test_reader_takes_json_numbers_as_fraction_does(self):
-        # A hand-written JSON form may give a coefficient as a number.
-        assert [_rational(x) for x in (3, -2, 0.5)] == [3, -2, Fraction(1, 2)]
+        # A hand-written JSON form may give a coefficient as an integer, read
+        # exactly; a float, bool or null would read as an inexact binary value.
+        assert [_rational(x) for x in (3, -2, 2**53 + 1)] == [3, -2, 2**53 + 1]
+        for value in (0.5, True, None):
+            with pytest.raises(ValueError, match="must be a string or an integer"):
+                _rational(value)
 
 
 # Every argument check of the library, by the entry point that reaches it.

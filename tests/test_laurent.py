@@ -250,3 +250,53 @@ def test_power_sum_formula_verifier_rejects_bad_arguments():
         verify_power_sum_formula(0, 1)
     with pytest.raises(ValueError):
         verify_power_sum_formula(1, 0)
+
+
+def test_shifted_closed_sums_hold_as_identities(monkeypatch):
+    # The record shifted_closed_sum evaluates, proved for every n as
+    # verify_power_sum_formula proves power sums: S(n) - S(n-1) = B(m*n + r),
+    # each term of S(n-1) moved to offset - stride, and S(0) = B(r).
+    derive, records = summation._summed, []
+
+    def recording(m, form):
+        records.append(derive(m, form))
+        return records[-1]
+
+    monkeypatch.setattr(summation, "_summed", recording)
+    for m in range(1, 7):
+        for r in range(7):
+            assert summation.shifted_closed_sum(m, r, 0) == balancing(r)
+            (expr,) = records
+            records.clear()
+            previous = [(coeff, s, o - s) for coeff, s, o in expr.bterms]
+            step = encode(expr.bterms, expr.linear_coeff) - encode(previous)
+            assert (step - encode([(1, m, r)])).is_zero()
+
+
+def test_power_sum_formulas_hold_in_sympy():
+    # A second oracle, sharing no arithmetic with encode: in sympy's
+    # Q(sqrt 2)[X, 1/X], X = ALPHA**n, B(s*n + o) is
+    # (ALPHA**o * X**s - BETA**o * X**-s) / (4*sqrt 2), and ALPHA*BETA = 1.
+    sympy = pytest.importorskip("sympy")
+    x, root2 = sympy.Symbol("X"), sympy.sqrt(2)
+    alpha, beta = 3 + 2 * root2, 3 - 2 * root2
+
+    def b(s, o):
+        up, down = (alpha, beta) if o >= 0 else (beta, alpha)
+        return (up ** abs(o) * x**s - down ** abs(o) * x**-s) / (4 * root2)
+
+    def rational(value):
+        return sympy.Rational(value.numerator, value.denominator)
+
+    def terms(bterms):
+        return sum(rational(coeff) * b(s, o) for coeff, s, o in bterms)
+
+    for m in range(1, 5):
+        for l in range(1, 9):
+            expr = power_sum_formula(m, l)
+            linear, constant = rational(expr.linear_coeff), rational(expr.constant)
+            previous = [(coeff, s, o - s) for coeff, s, o in expr.bterms]
+            step = terms(expr.bterms) - terms(previous) + linear
+            assert sympy.expand(step - b(m, 0) ** l) == 0, (m, l)
+            # At n = 0, X = 1: the empty sum.
+            assert sympy.expand(terms(expr.bterms).subs(x, 1) + linear + constant) == 0, (m, l)

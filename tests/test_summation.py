@@ -1,4 +1,6 @@
+import importlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -128,7 +130,7 @@ def test_brute_force_does_not_use_the_evaluator(monkeypatch):
         raise AssertionError("the oracle must not call the evaluator")
 
     monkeypatch.setattr(summation, "balancing", refuse)
-    monkeypatch.setattr(summation, "_affine_value", refuse)
+    monkeypatch.setattr(importlib.import_module("balsum.linearize"), "_affine_value", refuse)
     assert brute_force_power_sum(2, 3, 4) == sum(balancing(2 * k) ** 3 for k in range(5))
 
 
@@ -357,3 +359,43 @@ def test_render_negative_stride():
     bterms = [(1, -1, 0), (-2, -1, 3), (1, -2, 0)]
     doc = dict(_json_with_bterms(expr, bterms, 0), linear_coeff="0")
     assert ClosedSumExpr.from_json_dict(doc).render() == "-(2)*B(-n+3) + B(-n) + B(-2n)"
+
+
+def _json_with(form, field, value):
+    # A form's JSON with one field, or the coefficient of its first term, set.
+    doc = (linearize(3) if form is LinearForm else power_sum_formula(2, 3)).to_json_dict()
+    assert form.from_json_dict(doc).to_json_dict() == doc
+    if field == "coeff":
+        doc["terms" if form is LinearForm else "bterms"][0]["coeff"] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("value", [3.0, 2.5, "2", None, True, 0, -3], ids=repr)
+@pytest.mark.parametrize(
+    "form, field", [(LinearForm, "power"), (ClosedSumExpr, "m"), (ClosedSumExpr, "power")]
+)
+def test_readers_reject_counts_that_are_not_positive_integers(form, field, value):
+    message = f"^{form.__name__} {field} must be a positive integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        form.from_json_dict(_json_with(form, field, value))
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True, False, None], ids=repr)
+@pytest.mark.parametrize(
+    "form, field",
+    [
+        (LinearForm, "constant"),
+        (LinearForm, "coeff"),
+        (ClosedSumExpr, "coeff"),
+        (ClosedSumExpr, "linear_coeff"),
+        (ClosedSumExpr, "constant"),
+    ],
+)
+def test_readers_reject_numbers_that_are_not_strings_or_integers(form, field, value):
+    # The writers emit every number as a string; a JSON float would read as
+    # its binary value (0.1 as 3602879701896397/36028797018963968) and a
+    # bool as 0 or 1.
+    with pytest.raises(ValueError, match=f"must be a string or an integer, got {value!r}$"):
+        form.from_json_dict(_json_with(form, field, value))
