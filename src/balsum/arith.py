@@ -41,12 +41,16 @@ class InexactResultError(ArithmeticError):
     """
 
 
-def _check_at_least(name: str, value: int, low: int) -> None:
-    """Raise ValueError, naming the argument, unless value >= low; the one
-    lower-bound check of the library's integer arguments."""
-    if value < low:
+def _check_at_least(name: str, value: object, low: int | None) -> int:
+    """``value`` if its type is exactly int (a bool is not) and, unless ``low``
+    is None, value >= low; otherwise ValueError naming it.  The one check of
+    every integer the library reads: arguments, indices and record fields."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {_repr(value)}")
+    if low is not None and value < low:
         bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
         raise ValueError(f"{name} must be {bound}, got {_text(value)}")
+    return value
 
 
 def as_integer(value: Fraction | int, what: str = "result") -> int:
@@ -234,9 +238,8 @@ class QuadElem:
 def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul) -> _T:
     """base**n by square-and-multiply, every product through ``mul``; the one
     exponentiation loop of QuadElem, LaurentPoly and the matrix oracle of
-    :mod:`balsum.sequences`.  A negative n raises ValueError."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
+    :mod:`balsum.sequences`.  A negative or non-int n raises ValueError."""
+    _check_at_least("exponent", n, 0)
     result = one
     while n:
         if n & 1:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import RatLike, _check_at_least, _rational, _record_repr, _repr, _text, as_integer
+from .arith import RatLike, _check_at_least, _rational, _record_repr, _text, as_integer
 from .sequences import balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
@@ -164,27 +164,18 @@ class LinearForm(_AffineForm, _LinearFormFields):
     @classmethod
     def from_json_dict(cls, data: dict) -> LinearForm:
         pairs = [((t["multiplier"], t["shift"]), _rational(t["coeff"])) for t in data["terms"]]
-        power = _integer(cls, "power", data["power"], positive=True)
+        power = _check_at_least(f"{cls.__name__} power", data["power"], 1)
         return cls(power, _rational(data["constant"]), _merge(cls, pairs))
-
-
-def _integer(form: type[_AffineForm], name: str, value: object, positive: bool = False) -> int:
-    """``value`` if it is an int, at least 1 if ``positive``: the one check of the
-    integers a record reads; anything else, a bool too, raises ValueError."""
-    if type(value) is not int or positive and value < 1:
-        kind = "a positive integer" if positive else "an integer"
-        raise ValueError(f"{form.__name__} {name} must be {kind}, got {_repr(value)}")
-    return value
 
 
 def _merge(form: type[_AffineForm], pairs: Iterable[tuple[TermKey, Fraction]]) -> tuple[tuple, ...]:
     """The canonical terms of a ``form`` record, derived or read: keys of two
-    ints (checked by :func:`_integer`), the coefficients of equal keys summed,
-    zero sums dropped, sorted by ``form._order``."""
+    ints (each through :func:`_check_at_least`), the coefficients of equal
+    keys summed, zero sums dropped, sorted by ``form._order``."""
     merged: dict[TermKey, Fraction] = {}
     for key, coeff in pairs:
         for name, part in zip(form._key_names, key):
-            _integer(form, f"term {name}", part)
+            _check_at_least(f"{form.__name__} term {name}", part, None)
         merged[key] = merged[key] + coeff if key in merged else coeff
     keys = sorted((key for key, coeff in merged.items() if coeff), key=form._order)
     return tuple(form._term(key, merged[key]) for key in keys)

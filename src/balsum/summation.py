@@ -21,7 +21,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .arith import _check_at_least, _rational, _record_repr, _text
-from .linearize import BTerm, LinearForm, TermKey, _AffineForm, _integer, _merge, linearize
+from .linearize import BTerm, LinearForm, TermKey, _AffineForm, _merge, linearize
 from .sequences import _recurrence, balancing, balancing_pair
 
 
@@ -65,6 +65,7 @@ def closed_sum(m: int, n: int) -> int:
 def shifted_closed_sum(m: int, r: int, n: int) -> int:
     """sum_{0<=k<=n} B(k*m + r): :func:`_summed` of the one-term form B(x + r)
     at n, pinned to direct summation over an (m, r, n) grid in the tests."""
+    _check_at_least("m", m, 1)
     _check_at_least("r", r, 0)
     term = LinearForm(1, Fraction(0), _merge(LinearForm, [((1, r), Fraction(1))]))
     return _summed(m, term).value_at(n)
@@ -124,7 +125,7 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
     @classmethod
     def from_json_dict(cls, data: dict) -> ClosedSumExpr:
         pairs = [((t["stride"], t["offset"]), _rational(t["coeff"])) for t in data["bterms"]]
-        m, power = (_integer(cls, name, data[name], positive=True) for name in ("m", "power"))
+        m, power = (_check_at_least(f"{cls.__name__} {k}", data[k], 1) for k in ("m", "power"))
         linear_coeff, constant = _rational(data["linear_coeff"]), _rational(data["constant"])
         return cls(m, power, _merge(cls, pairs), linear_coeff, constant)
 
@@ -151,4 +152,5 @@ def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
     """The symbolic closed form of sum_{0<=k<=n} B(k*m)**l: :func:`_summed`
     of the linearization of B(x)**l."""
     _check_at_least("m", m, 1)
+    _check_at_least("l", l, 1)
     return _summed(m, linearize(l))

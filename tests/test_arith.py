@@ -1,6 +1,7 @@
 import decimal
 import re
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -353,6 +354,53 @@ ARGUMENT_ERRORS = [
     (lambda: balsum.brute_force_power_sum(1, 1, -1), "n must be non-negative, got -1"),
     (lambda: balsum.power_sum_formula(0, 1), "m must be positive, got 0"),
     (lambda: balsum.verify_subsequence_recurrence(1), "m must be at least 2, got 1"),
+    (lambda: balsum.balancing(-2.5), "index must be an integer, got -2.5"),
+    (lambda: balsum.power_sum(1, 0, 5), "l must be positive, got 0"),
+    (lambda: balsum.ALPHA**-1, "exponent must be non-negative, got -1"),
+]
+
+# Each integer argument, by an entry point that reads it, under its name; a
+# value whose type is not exactly int, a bool included, fails before its bound.
+INTEGER_ARGUMENTS = [
+    (balsum.balancing, "index"),
+    (balsum.lucas_balancing, "index"),
+    (balsum.balancing_fast, "index"),
+    (balsum.lucas_balancing_fast, "index"),
+    (balsum.balancing_binet, "index"),
+    (balsum.lucas_balancing_binet, "index"),
+    (balsum.sequence_table, "index"),
+    (balsum.gf_coefficients, "count"),
+    (balsum.linearize, "power"),
+    (balsum.linearize_odd, "l"),
+    (balsum.linearize_even, "l"),
+    (lambda x: balsum.linearize(2).value_at(x), "index"),
+    (lambda x: balsum.power_sum_formula(2, 3).exact_value_at(x), "index"),
+    (balsum.gf_params, "m"),
+    (lambda x: balsum.subsequence_gf_check(x, 5), "m"),
+    (lambda x: balsum.subsequence_gf_check(2, x), "n_terms"),
+    (lambda x: balsum.closed_sum(x, 3), "m"),
+    (lambda x: balsum.closed_sum(2, x), "index"),
+    (lambda x: balsum.shifted_closed_sum(x, 1, 3), "m"),
+    (lambda x: balsum.shifted_closed_sum(2, x, 3), "r"),
+    (lambda x: balsum.brute_force_power_sum(x, 1, 1), "m"),
+    (lambda x: balsum.brute_force_power_sum(1, x, 1), "l"),
+    (lambda x: balsum.brute_force_power_sum(1, 1, x), "n"),
+    (lambda x: balsum.power_sum_formula(x, 2), "m"),
+    (lambda x: balsum.power_sum_formula(2, x), "l"),
+    (lambda x: balsum.power_sum(x, 3, 4), "m"),
+    (lambda x: balsum.power_sum(1, 1, x), "index"),
+    (balsum.verify_odd_power_identity, "l"),
+    (balsum.verify_even_power_identity, "l"),
+    (balsum.verify_subsequence_recurrence, "m"),
+    (lambda x: balsum.verify_power_sum_formula(x, 2), "m"),
+    (lambda x: balsum.verify_power_sum_formula(2, x), "l"),
+    (lambda x: balsum.ALPHA**x, "exponent"),
+    (lambda x: balsum.LaurentPoly.monomial(1) ** x, "exponent"),
+]
+ARGUMENT_ERRORS += [
+    (partial(call, value), f"{name} must be an integer, got {value!r}")
+    for call, name in INTEGER_ARGUMENTS
+    for value in (2.0, True, "2", None)
 ]
 
 

@@ -156,6 +156,22 @@ def test_argument_validation():
     ):
         with pytest.raises(ValueError):
             bad_call()
+    # The same arguments, given a value whose type is not exactly int.
+    for value in (2.0, True, "2", None):
+        for call, args, name in (
+            (closed_sum, (value, 3), "m"),
+            (closed_sum, (1, value), "index"),
+            (shifted_closed_sum, (value, 0, 0), "m"),
+            (shifted_closed_sum, (1, value, 0), "r"),
+            (shifted_closed_sum, (1, 0, value), "index"),
+            (power_sum, (1, 1, value), "index"),
+            (power_sum, (1, value, 5), "l"),
+            (power_sum, (value, 1, 5), "m"),
+            (brute_force_power_sum, (1, 1, value), "n"),
+        ):
+            message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                call(*args)
 
 
 def test_formula_m1_l1_structure():
@@ -377,7 +393,9 @@ def _json_with(form, field, value):
     "form, field", [(LinearForm, "power"), (ClosedSumExpr, "m"), (ClosedSumExpr, "power")]
 )
 def test_readers_reject_counts_that_are_not_positive_integers(form, field, value):
-    message = f"^{form.__name__} {field} must be a positive integer, got {re.escape(repr(value))}$"
+    # The one integer rule: the type first (a bool is not an int), then the bound.
+    rule = "positive" if type(value) is int else "an integer"
+    message = f"^{form.__name__} {field} must be {rule}, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         form.from_json_dict(_json_with(form, field, value))
 
