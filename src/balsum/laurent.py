@@ -18,33 +18,30 @@ from typing import Iterable
 
 from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _check_at_least, _power
 from .linearize import LinearForm, linearize_even, linearize_odd
-from .summation import gf_params, power_sum_formula
+from .summation import ClosedSumExpr, gf_params, power_sum_formula
 
 # 1 / (4*sqrt(2)) = sqrt(2)/8, the factor converting a power difference
 # ALPHA**o * X**s - BETA**o * X**-s into the balancing number it encodes.
 _INV_FOUR_SQRT2 = QuadElem(0, Fraction(1, 8))
 
 
-def _coerce_coeff(value: QuadElem | RatLike) -> QuadElem:
-    return value if isinstance(value, QuadElem) else QuadElem(value)
-
-
 class LaurentPoly:
     """A sparse Laurent polynomial: {exponent: coefficient}, zeros purged.
 
-    Coefficients live in Q(sqrt 2); plain ints and Fractions coerce.  The
-    canonical-support invariant makes equality and the zero test trivial.
+    Every exponent, a zero coefficient's too, must be an int; coefficients live
+    in Q(sqrt 2), and ints and Fractions coerce.  The canonical support makes
+    equality and the zero test trivial.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: dict[int, QuadElem | RatLike] | None = None) -> None:
         cleaned: dict[int, QuadElem] = {}
-        if coeffs:
-            for exponent, value in coeffs.items():
-                coeff = _coerce_coeff(value)
-                if coeff:
-                    cleaned[exponent] = coeff
+        for exponent, value in (coeffs or {}).items():
+            _check_at_least("exponent", exponent, None)
+            coeff = value if isinstance(value, QuadElem) else QuadElem(value)
+            if coeff:
+                cleaned[exponent] = coeff
         self._coeffs = cleaned
 
     @classmethod
@@ -60,7 +57,7 @@ class LaurentPoly:
         return tuple(sorted(self._coeffs))
 
     def coefficient(self, exponent: int) -> QuadElem:
-        return self._coeffs.get(exponent, QUAD_ZERO)
+        return self._coeffs.get(_check_at_least("exponent", exponent, None), QUAD_ZERO)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -87,20 +84,18 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: LaurentPoly | QuadElem | RatLike) -> LaurentPoly:
-        if isinstance(other, LaurentPoly):
-            product: dict[int, QuadElem] = {}
-            for e1, c1 in self._coeffs.items():
-                for e2, c2 in other._coeffs.items():
-                    e = e1 + e2
-                    product[e] = product.get(e, QUAD_ZERO) + c1 * c2
-            return LaurentPoly(product)
         if isinstance(other, (QuadElem, int, Fraction)):
-            scalar = _coerce_coeff(other)
-            return LaurentPoly({e: c * scalar for e, c in self._coeffs.items()})
-        return NotImplemented
+            other = LaurentPoly({0: other})
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
+        product: dict[int, QuadElem] = {}
+        for e1, c1 in self._coeffs.items():
+            for e2, c2 in other._coeffs.items():
+                e = e1 + e2
+                product[e] = product.get(e, QUAD_ZERO) + c1 * c2
+        return LaurentPoly(product)
 
-    def __rmul__(self, other: QuadElem | RatLike) -> LaurentPoly:
-        return self * other
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
         return _power(self, n, LaurentPoly.one())
@@ -167,15 +162,19 @@ def verify_subsequence_recurrence(m: int) -> bool:
     return encode([(1, m, 0), (-middle, m, -m), (1, m, -2 * m)]).is_zero()
 
 
+def _proves_sum(expr: ClosedSumExpr, summand: LaurentPoly) -> bool:
+    """Whether the record ``expr`` is S(n) = sum_{0<=k<=n} F(k) for every n,
+    ``summand`` being F(k) in X = ALPHA**k.  S(n) - S(n-1) = F(n) is one
+    identity, with each term B(s*n + o) of S(n-1) at offset o - s and its linear
+    part one coefficient lower; S(0) = F(0) is read at X = 1, that is n = 0."""
+    shifted = [(-coeff, s, o - s) for coeff, s, o in expr.bterms]
+    step = encode([*expr.bterms, *shifted], expr.linear_coeff)
+    first = encode(expr.bterms, expr.linear_coeff + expr.constant)
+    return first.evaluate(QUAD_ONE) == summand.evaluate(QUAD_ONE) and (step - summand).is_zero()
+
+
 def verify_power_sum_formula(m: int, l: int) -> bool:
     """Check the closed form :func:`power_sum_formula` emits for
-    S(n) = sum_{0<=k<=n} B(k*m)**l; an m or l below 1 raises ValueError.
-
-    S(0) = 0 is checked by evaluation, and S(n) - S(n-1) = B(m*n)**l for
-    every n as a polynomial identity.  In S(n-1) each term B(s*n + o) moves to
-    offset o - s, and the linear part drops by its coefficient.
-    """
-    expr = power_sum_formula(m, l)
-    previous = [(coeff, s, o - s) for coeff, s, o in expr.bterms]
-    step = encode(expr.bterms, expr.linear_coeff) - encode(previous)
-    return expr.exact_value_at(0) == 0 and (step - encode([(1, m, 0)]) ** l).is_zero()
+    S(n) = sum_{0<=k<=n} B(k*m)**l, by :func:`_proves_sum` against the
+    encoding of B(m*k)**l; an m or l below 1 raises ValueError."""
+    return _proves_sum(power_sum_formula(m, l), encode([(1, m, 0)]) ** l)

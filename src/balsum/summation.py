@@ -82,8 +82,8 @@ def brute_force_power_sum(m: int, l: int, n: int) -> int:
 
 
 def power_sum(m: int, l: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m)**l: the closed form of :func:`power_sum_formula`
-    evaluated at n."""
+    """sum_{0<=k<=n} B(k*m)**l: :func:`power_sum_formula` at n, n checked before deriving it."""
+    _check_at_least("index", n, 0)
     return power_sum_formula(m, l).value_at(n)
 
 

@@ -396,6 +396,10 @@ INTEGER_ARGUMENTS = [
     (lambda x: balsum.verify_power_sum_formula(2, x), "l"),
     (lambda x: balsum.ALPHA**x, "exponent"),
     (lambda x: balsum.LaurentPoly.monomial(1) ** x, "exponent"),
+    (lambda x: balsum.LaurentPoly({x: 1}), "exponent"),
+    (lambda x: balsum.LaurentPoly({x: 0}), "exponent"),
+    (balsum.LaurentPoly.monomial, "exponent"),
+    (balsum.LaurentPoly.one().coefficient, "exponent"),
 ]
 ARGUMENT_ERRORS += [
     (partial(call, value), f"{name} must be an integer, got {value!r}")

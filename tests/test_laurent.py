@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,19 @@ def test_support_bound(p, q):
 def test_evaluation_at_one_is_multiplicative(p, q):
     one = QUAD_ONE
     assert (p * q).evaluate(one) == p.evaluate(one) * q.evaluate(one)
+
+
+def test_repr():
+    assert repr(LaurentPoly()) == "LaurentPoly(0)"
+    assert repr(LaurentPoly({-1: ALPHA, 2: 3})) == "LaurentPoly((3)*X^2 + (3 + 2*sqrt2)*X^-1)"
+
+
+def test_unsupported_operands():
+    p = X - X_INV
+    assert (LaurentPoly.one() == 1) is False
+    for operation in (lambda: p + 1, lambda: p - 1, lambda: p * "2"):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_polynomials_are_unhashable():
@@ -245,6 +259,16 @@ def test_power_sum_formula_verifier_rejects_perturbed_forms(monkeypatch):
         assert not verify_power_sum_formula(2, 3)
 
 
+def test_power_sum_formula_verifier_reads_only_the_record(monkeypatch):
+    # The proof encodes the record's fields and never runs the evaluator it
+    # checks: a wrong evaluator changes no verdict, either way.
+    linearize_module = sys.modules["balsum.linearize"]
+    evaluator = linearize_module._affine_value
+    monkeypatch.setattr(linearize_module, "_affine_value", lambda *args: evaluator(*args) + 1)
+    assert verify_power_sum_formula(2, 3)
+    test_power_sum_formula_verifier_rejects_perturbed_forms(monkeypatch)
+
+
 def test_power_sum_formula_verifier_rejects_bad_arguments():
     with pytest.raises(ValueError):
         verify_power_sum_formula(0, 1)
@@ -253,9 +277,9 @@ def test_power_sum_formula_verifier_rejects_bad_arguments():
 
 
 def test_shifted_closed_sums_hold_as_identities(monkeypatch):
-    # The record shifted_closed_sum evaluates, proved for every n as
-    # verify_power_sum_formula proves power sums: S(n) - S(n-1) = B(m*n + r),
-    # each term of S(n-1) moved to offset - stride, and S(0) = B(r).
+    # The record shifted_closed_sum evaluates, proved for every n by the
+    # proof of verify_power_sum_formula: S(n) - S(n-1) = B(m*n + r) and
+    # S(0) = B(r).
     derive, records = summation._summed, []
 
     def recording(m, form):
@@ -268,9 +292,7 @@ def test_shifted_closed_sums_hold_as_identities(monkeypatch):
             assert summation.shifted_closed_sum(m, r, 0) == balancing(r)
             (expr,) = records
             records.clear()
-            previous = [(coeff, s, o - s) for coeff, s, o in expr.bterms]
-            step = encode(expr.bterms, expr.linear_coeff) - encode(previous)
-            assert (step - encode([(1, m, r)])).is_zero()
+            assert laurent._proves_sum(expr, encode([(1, m, r)]))
 
 
 def test_power_sum_formulas_hold_in_sympy():

@@ -174,6 +174,16 @@ def test_argument_validation():
                 call(*args)
 
 
+def test_power_sum_reads_its_index_before_the_derivation(monkeypatch):
+    # A bad n is refused at once, not after the whole closed form is derived.
+    def derivation(m, l):
+        raise AssertionError("power_sum derived a closed form for a bad index")
+
+    monkeypatch.setattr(summation, "power_sum_formula", derivation)
+    with pytest.raises(ValueError, match=r"^index must be an integer, got 2\.0$"):
+        power_sum(3, 5, 2.0)
+
+
 def test_formula_m1_l1_structure():
     expr = power_sum_formula(1, 1)
     assert expr.bterms == (
