@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 bench/grid.py
 
 It times B(n) for n = 10**3 .. 10**6 by each generator (the doubling pair,
-the matrix power and Binet), and power_sum against brute_force_power_sum at
+the matrix power and Binet), and ALPHA**n at the same n, checking it against
+C(n) + 2*B(n)*sqrt 2 from the doubling pair, and power_sum against brute_force_power_sum at
 l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree, and beside
 them the derivation power_sum_formula(m, l) alone: power_sum is that
 derivation plus one evaluation at n.  It times the QuadElem multiply on
@@ -140,6 +141,18 @@ def quad_mul_rows() -> dict[str, float]:
     return {f"small_rationals_x{SMALL_MULS}": round(small_ms, 3), "alpha_1e5": round(big_ms, 3)}
 
 
+def alpha_power_rows() -> dict[str, float]:
+    """ALPHA**n at each of INDICES, by the powering loop of QuadElem."""
+    rows = {}
+    for n in INDICES:
+        ms, power = timed(lambda: ALPHA**n)
+        b, c = balancing_pair(n)
+        if power != QuadElem(c, 2 * b):
+            raise SystemExit(f"ALPHA**{n} disagrees with C(n) + 2*B(n)*sqrt 2")
+        rows[str(n)] = round(ms, 3)
+    return rows
+
+
 def output_rows() -> dict[str, dict[str, dict[str, float]]]:
     """Decimal output: whole tables by the int walk and str against the Decimal
     walk, and one large integer by str against the library's writer."""
@@ -212,6 +225,7 @@ def main() -> None:
         "cpu": cpu_model(),
         "unit": "ms",
         "B_by_generator": generators,
+        "alpha_power": alpha_power_rows(),
         "power_sum_vs_brute_force": sums,
         "quad_mul": quad_mul_rows(),
         "verifiers": verifiers,

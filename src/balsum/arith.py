@@ -236,16 +236,22 @@ class QuadElem:
 
 
 def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul) -> _T:
-    """base**n by square-and-multiply, every product through ``mul``; the one
-    exponentiation loop of QuadElem, LaurentPoly and the matrix oracle of
-    :mod:`balsum.sequences`.  A negative or non-int n raises ValueError."""
+    """base**n by the left-to-right binary method (Knuth, TAOCP vol. 2,
+    §4.6.3), every product through ``mul``: from ``base``, each later bit of n
+    squares the result, as ``mul(result, result)``, and a set bit then
+    multiplies it by the original ``base``, so n takes n.bit_length() - 1
+    squarings and one product by ``base`` per set bit after the first.  The
+    one exponentiation loop of QuadElem, LaurentPoly and the matrix oracle of
+    :mod:`balsum.sequences`; n = 0 gives ``one``.  A negative or non-int n
+    raises ValueError."""
     _check_at_least("exponent", n, 0)
-    result = one
-    while n:
-        if n & 1:
+    if n == 0:
+        return one
+    result = base
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
             result = mul(result, base)
-        base = mul(base, base)
-        n >>= 1
     return result
 
 

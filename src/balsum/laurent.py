@@ -14,9 +14,10 @@ function parameters and closed sums), not copies of their formulas.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
-from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _check_at_least, _power
+from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _check_at_least, _power, _reduced, _triple
 from .linearize import LinearForm, linearize_even, linearize_odd
 from .summation import ClosedSumExpr, gf_params, power_sum_formula
 
@@ -31,6 +32,16 @@ class LaurentPoly:
     Every exponent, a zero coefficient's too, must be an int; coefficients live
     in Q(sqrt 2), and ints and Fractions coerce.  The canonical support makes
     equality and the zero test trivial.
+
+    A product is made in integers by Kronecker substitution (Harvey 2009,
+    J. Symbolic Comput. 44).  Each operand becomes its lowest exponent and two
+    dense integer lists P and Q over one common denominator, coefficient k
+    sitting at X**(low + k*g), where the step g is the gcd of the exponent gaps
+    of both operands.  Each list is packed into one int at a width that bounds
+    every coefficient of the product, so three big-integer products,
+    P*P', Q*Q' and (P+Q)*(P'+Q'), give its rational part P*P' + 2*Q*Q' and its
+    sqrt 2 part; their signed digits are unpacked and each coefficient is
+    reduced once.  A scalar multiplies as a constant polynomial.
     """
 
     __slots__ = ("_coeffs",)
@@ -88,12 +99,26 @@ class LaurentPoly:
             other = LaurentPoly({0: other})
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        product: dict[int, QuadElem] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                product[e] = product.get(e, QUAD_ZERO) + c1 * c2
-        return LaurentPoly(product)
+        if not (self._coeffs and other._coeffs):
+            return LaurentPoly()
+        low1, low2 = min(self._coeffs), min(other._coeffs)
+        step = gcd(*(e - low1 for e in self._coeffs), *(e - low2 for e in other._coeffs)) or 1
+        p1, q1, d1, bound1 = lists = _integer_lists(self, low1, step)
+        p2, q2, d2, bound2 = lists if other is self else _integer_lists(other, low2, step)
+        count = len(p1) + len(p2) - 1
+        # A product digit sums at most min(len) terms p1*p2 + 2*q1*q2 or
+        # p1*q2 + q1*p2, each at most 2*bound1*bound2 in size; one more bit
+        # holds the sign.
+        size = (2 * min(len(p1), len(p2)) * bound1 * bound2).bit_length() // 8 + 1
+        x1, y1 = _pack(p1, size), _pack(q1, size)
+        x2, y2 = (x1, y1) if other is self else (_pack(p2, size), _pack(q2, size))
+        pp, qq = x1 * x2, y1 * y2
+        rational = _unpack(pp + 2 * qq, count, size)
+        root2 = _unpack((x1 + y1) * (x2 + y2) - pp - qq, count, size)
+        d, low = d1 * d2, low1 + low2
+        return LaurentPoly(
+            {low + step * k: _reduced(p, q, d) for k, (p, q) in enumerate(zip(rational, root2)) if p or q}
+        )
 
     __rmul__ = __mul__
 
@@ -115,6 +140,40 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         terms = " + ".join(f"({self._coeffs[e]})*X^{e}" for e in sorted(self._coeffs, reverse=True))
         return f"LaurentPoly({terms})"
+
+
+def _integer_lists(poly: LaurentPoly, low: int, step: int) -> tuple[list[int], list[int], int, int]:
+    """(P, Q, d, bound) of a nonzero polynomial whose exponents are ``low``
+    plus multiples of ``step``: its coefficient at X**(low + k*step) is
+    (P[k] + Q[k]*sqrt 2)/d over the one common denominator d, and every
+    |P[k]| + |Q[k]| is at most ``bound``."""
+    triples = {(e - low) // step: _triple(c) for e, c in poly._coeffs.items()}
+    d, length = lcm(*(c_d for _, _, c_d in triples.values())), max(triples) + 1
+    rational, root2 = [0] * length, [0] * length
+    for k, (p, q, c_d) in triples.items():
+        rational[k], root2[k] = p * (d // c_d), q * (d // c_d)
+    return rational, root2, d, max(abs(p) + abs(q) for p, q in zip(rational, root2))
+
+
+def _halves(count: int, size: int) -> int:
+    """Half the range of each of ``count`` digits of ``size`` bytes, packed."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def _pack(digits: list[int], size: int) -> int:
+    """sum digits[k] * 2**(8*size*k), the Kronecker substitution of a list of
+    signed digits each smaller in size than 2**(8*size - 1): shifted by half a
+    digit's range, the digits are the bytes of one int."""
+    half = 1 << (8 * size - 1)
+    raw = b"".join((digit + half).to_bytes(size, "little") for digit in digits)
+    return int.from_bytes(raw, "little") - _halves(len(digits), size)
+
+
+def _unpack(value: int, count: int, size: int) -> list[int]:
+    """The ``count`` signed digits that :func:`_pack` packs into ``value``."""
+    half = 1 << (8 * size - 1)
+    raw = (value + _halves(count, size)).to_bytes(count * size, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
 
 
 def encode(bterms: Iterable[tuple[RatLike, int, int]], constant: RatLike = 0) -> LaurentPoly:
@@ -166,11 +225,12 @@ def _proves_sum(expr: ClosedSumExpr, summand: LaurentPoly) -> bool:
     """Whether the record ``expr`` is S(n) = sum_{0<=k<=n} F(k) for every n,
     ``summand`` being F(k) in X = ALPHA**k.  S(n) - S(n-1) = F(n) is one
     identity, with each term B(s*n + o) of S(n-1) at offset o - s and its linear
-    part one coefficient lower; S(0) = F(0) is read at X = 1, that is n = 0."""
-    shifted = [(-coeff, s, o - s) for coeff, s, o in expr.bterms]
-    step = encode([*expr.bterms, *shifted], expr.linear_coeff)
-    first = encode(expr.bterms, expr.linear_coeff + expr.constant)
-    return first.evaluate(QUAD_ONE) == summand.evaluate(QUAD_ONE) and (step - summand).is_zero()
+    part one coefficient lower; S(0) = F(0) is read at X = 1, that is n = 0,
+    where a polynomial's value is the sum of its coefficients."""
+    terms = encode(expr.bterms)
+    minus_previous = encode([(-coeff, s, o - s) for coeff, s, o in expr.bterms], expr.linear_coeff)
+    first = sum(terms._coeffs.values(), QuadElem(expr.linear_coeff + expr.constant))
+    return first == sum(summand._coeffs.values(), QUAD_ZERO) and (terms + minus_previous - summand).is_zero()
 
 
 def verify_power_sum_formula(m: int, l: int) -> bool:

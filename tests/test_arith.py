@@ -1,5 +1,7 @@
 import decimal
+import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import balsum
+from balsum import sequences
 from balsum.arith import (
     ALPHA,
     BETA,
@@ -16,6 +19,7 @@ from balsum.arith import (
     InexactResultError,
     QuadElem,
     SQRT2,
+    _power,
     _rational,
     _text,
     as_integer,
@@ -163,6 +167,38 @@ class TestQuadElem:
         assert str(BETA) == "3 - 2*sqrt2"
         assert str(QuadElem(5)) == "5"
         assert str(QuadElem(Fraction(1, 2), Fraction(-3, 8))) == "1/2 - 3/8*sqrt2"
+
+
+# (base, one, mul) of each algebra _power serves.
+POWER_ALGEBRAS = {
+    "QuadElem": (ALPHA, QuadElem(1), operator.mul),
+    "LaurentPoly": (
+        balsum.LaurentPoly.monomial(1) - balsum.LaurentPoly.monomial(-1),
+        balsum.LaurentPoly.one(),
+        operator.mul,
+    ),
+    "matrix": (sequences._STEP, sequences._IDENTITY, sequences._mat_mul),
+}
+
+
+@pytest.mark.parametrize("algebra", POWER_ALGEBRAS)
+def test_power_reads_the_exponent_from_the_top(algebra):
+    # base**n equals n repeated products, by n.bit_length() - 1 squarings and
+    # one product by the original base per set bit after the first.
+    base, one, mul = POWER_ALGEBRAS[algebra]
+    counts = Counter()
+
+    def counting(x, y):
+        counts["square" if x is y else "by_base" if y is base else "other"] += 1
+        return mul(x, y)
+
+    repeated = one
+    for n in range(300):
+        counts.clear()
+        assert _power(base, n, one, counting) == repeated, n
+        # A Counter reads a missing kind as 0: n = 0 makes no product.
+        assert counts == Counter(square=max(n.bit_length() - 1, 0), by_base=max(bin(n).count("1") - 1, 0)), n
+        repeated = mul(repeated, base)
 
 
 class TestAgainstReference:

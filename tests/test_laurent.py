@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balsum import laurent, summation
-from balsum.arith import ALPHA, QUAD_ONE, QuadElem
+from balsum.arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem
 from balsum.laurent import (
     LaurentPoly,
     encode,
@@ -89,6 +89,57 @@ def test_support_bound(p, q):
 def test_evaluation_at_one_is_multiplicative(p, q):
     one = QUAD_ONE
     assert (p * q).evaluate(one) == p.evaluate(one) * q.evaluate(one)
+
+
+def dict_product(p, q):
+    """The product by one QuadElem product per pair of coefficients: the
+    dict double loop LaurentPoly.__mul__ once ran, kept as its oracle."""
+    product = {}
+    for e1 in p.support:
+        for e2 in q.support:
+            e = e1 + e2
+            product[e] = product.get(e, QUAD_ZERO) + p.coefficient(e1) * q.coefficient(e2)
+    return LaurentPoly(product)
+
+
+# Signed numerators of every size up to 2**96, wider than a machine word, and
+# denominators that rarely cancel: mixed signs make the borrows cross digit
+# borders.
+numerators = st.one_of(st.integers(-9, 9), st.integers(-(2**96), 2**96))
+rational_coefficients = st.builds(Fraction, numerators, st.integers(1, 2**70))
+scalars = st.one_of(
+    st.builds(QuadElem, rational_coefficients, rational_coefficients), numerators, rational_coefficients
+)
+
+
+@st.composite
+def sparse_polys(draw):
+    # Exponents offset + step*k on one step per polynomial, so that two
+    # operands may share no step but 1 (multiples of 2 against 3).
+    step, offset = draw(st.sampled_from([1, 2, 3, 5, 12])), draw(st.integers(-30, 30))
+    exponents = st.integers(-8, 8).map(lambda k: offset + step * k)
+    return LaurentPoly(draw(st.dictionaries(exponents, scalars, max_size=8)))
+
+
+@given(sparse_polys(), sparse_polys(), scalars)
+def test_product_matches_the_dict_product(p, q, scalar):
+    assert p * q == dict_product(p, q)
+    assert p * p == dict_product(p, p)
+    constant = LaurentPoly({0: scalar})
+    assert p * scalar == scalar * p == dict_product(p, constant)
+    assert constant * q == dict_product(constant, q)
+    assert LaurentPoly() * q == q * LaurentPoly() == LaurentPoly()
+
+
+def test_product_at_the_digit_bound():
+    # Equal coefficients make the middle digits of a square as large as the
+    # width allows, at every digit size in turn; a pure sqrt 2 part doubles
+    # the rational digits (2*q*q).
+    for bits in range(140):
+        for coeff in (QuadElem(0, 2**bits), QuadElem(2**bits, 2**bits), QuadElem(-(2**bits), 2**bits - 1)):
+            for length in (1, 2, 5):
+                p = LaurentPoly({e: coeff for e in range(length)})
+                assert p * p == dict_product(p, p), (bits, coeff, length)
 
 
 def test_repr():
