@@ -2,17 +2,15 @@
 of powers, closed-form partial sums, and Laurent-polynomial identity
 verification over Q(sqrt 2).  All results are exact."""
 
-# The function shares its name with its submodule, and the import system binds
-# a submodule on the package when the submodule first loads.  Only a binding
-# made after that load keeps `balsum.linearize` the function for good.
-from .linearize import linearize
-
 import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
 # The public names, each under the module that defines it; a name loads its
-# module on first access (PEP 562), so a caller pays only for what it uses.
+# module on first access (PEP 562), so `import balsum` loads no library module
+# and a caller pays only for what it uses.
 _EXPORTS = {
     "arith": ("ALPHA", "BETA", "FOUR_SQRT2", "InexactResultError", "QuadElem", "SQRT2"),
     "laurent": (
@@ -63,3 +61,19 @@ def __getattr__(name: str) -> object:
 
 def __dir__() -> list[str]:
     return __all__
+
+
+class _Package(types.ModuleType):
+    """The package's type: ``balsum.linearize`` is the function, which shares
+    its name with its submodule.  The import system binds a submodule on its
+    package by ``setattr`` when the submodule first loads; that one binding is
+    dropped, so the name falls through to ``__getattr__`` and loads the
+    function like every other name.  Any other value, a function swapped in
+    for ``linearize`` included, is set as usual."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if not (name == "linearize" and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

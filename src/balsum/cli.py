@@ -7,7 +7,9 @@ Every number is written by `arith._text`, so no output depends on the
 interpreter's int/str digit limit, and the limit is left as the caller set it.
 `gen` writes each row as it is made, by default from the exact decimal walk
 `sequences.decimal_table`; `sequence_table`, in ints, stays its oracle.
-`summation`, `laurent` and `json` load inside the handlers that use them.
+Every library module, and `json`, loads inside the handlers that use it, so
+`--help` and a usage error compile no library code but this module, and `gen`
+no form code.
 """
 
 from __future__ import annotations
@@ -17,15 +19,13 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from . import sequences
-from .arith import _text
-from .linearize import linearize
-
-_GENERATORS: dict[tuple[str, str], Callable[[int], int]] = {
-    ("B", "fast"): sequences.balancing_fast,
-    ("B", "binet"): sequences.balancing_binet,
-    ("C", "fast"): sequences.lucas_balancing_fast,
-    ("C", "binet"): sequences.lucas_balancing_binet,
+# The per-row generator of each oracle method, by its name in `sequences`,
+# looked up there when `gen` runs.
+_GENERATORS: dict[tuple[str, str], str] = {
+    ("B", "fast"): "balancing_fast",
+    ("B", "binet"): "balancing_binet",
+    ("C", "fast"): "lucas_balancing_fast",
+    ("C", "binet"): "lucas_balancing_binet",
 }
 
 
@@ -54,10 +54,14 @@ def dump_json(data: object) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import sequences
+    from .arith import _text
+
     if args.method == "recurrence":
         values = sequences.decimal_table(args.upto, args.seq)
     else:
-        values = map(_text, map(_GENERATORS[(args.seq, args.method)], range(args.upto + 1)))
+        generate = getattr(sequences, _GENERATORS[(args.seq, args.method)])
+        values = map(_text, map(generate, range(args.upto + 1)))
     head, row, foot = "", "{n}\t{value}\n", ""
     if args.format == "csv":
         head, row = "n,value\n", "{n},{value}\n"
@@ -76,6 +80,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_linearize(args: argparse.Namespace) -> int:
+    from .linearize import linearize
+
     form = linearize(args.power)
     if args.format == "json":
         print(dump_json(form.to_json_dict()))
@@ -85,6 +91,7 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
+    from .arith import _text
     from .summation import brute_force_power_sum, power_sum
 
     # The one record of a request, in the order every format writes it.
@@ -107,6 +114,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    from .arith import _text
     from .summation import power_sum_formula
 
     expr = power_sum_formula(args.m, args.power)

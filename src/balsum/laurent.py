@@ -15,45 +15,51 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _check_at_least, _power, _reduced, _triple
+from .arith import QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _check_at_least, _power, _reduced, _triple
 from .linearize import LinearForm, linearize_even, linearize_odd
 from .summation import ClosedSumExpr, gf_params, power_sum_formula
 
-# 1 / (4*sqrt(2)) = sqrt(2)/8, the factor converting a power difference
-# ALPHA**o * X**s - BETA**o * X**-s into the balancing number it encodes.
-_INV_FOUR_SQRT2 = QuadElem(0, Fraction(1, 8))
+# (low, step, P, Q, d): the coefficient at X**(low + k*step) is
+# (P[k] + Q[k]*sqrt 2)/d.
+Record = tuple[int, int, tuple[int, ...], tuple[int, ...], int]
+_ZERO: Record = (0, 0, (), (), 1)
 
 
 class LaurentPoly:
-    """A sparse Laurent polynomial: {exponent: coefficient}, zeros purged.
+    """A Laurent polynomial in X over Q(sqrt 2), held as one canonical integer
+    record (low, step, P, Q, d): its coefficient at X**(low + k*step) is
+    (P[k] + Q[k]*sqrt 2)/d.  In canonical form P[0] + Q[0]*sqrt 2 and the last
+    coefficient are nonzero, the step is the gcd of the gaps between the
+    exponents of the nonzero coefficients (0 for a single term), and d > 0
+    shares no factor with every P[k] and Q[k]; zero is (0, 0, (), (), 1).  So
+    each polynomial has one record, and equality and the zero test read it.
 
-    Every exponent, a zero coefficient's too, must be an int; coefficients live
-    in Q(sqrt 2), and ints and Fractions coerce.  The canonical support makes
-    equality and the zero test trivial.
+    A dict {exponent: coefficient} builds one: every exponent, a zero
+    coefficient's too, must be an int; coefficients live in Q(sqrt 2), and
+    ints and Fractions coerce.  Sums and negation work on the integers.
 
-    A product is made in integers by Kronecker substitution (Harvey 2009,
-    J. Symbolic Comput. 44).  Each operand becomes its lowest exponent and two
-    dense integer lists P and Q over one common denominator, coefficient k
-    sitting at X**(low + k*g), where the step g is the gcd of the exponent gaps
-    of both operands.  Each list is packed into one int at a width that bounds
-    every coefficient of the product, so three big-integer products,
-    P*P', Q*Q' and (P+Q)*(P'+Q'), give its rational part P*P' + 2*Q*Q' and its
-    sqrt 2 part; their signed digits are unpacked and each coefficient is
-    reduced once.  A scalar multiplies as a constant polynomial.
+    A product is made by Kronecker substitution (Harvey 2009, J. Symbolic
+    Comput. 44): both operands are spread to the gcd of their steps, and each
+    of P and Q is packed into one int at a width that bounds every coefficient
+    of the product; the packed pairs x + y*sqrt 2 multiply in Z[sqrt 2] by
+    three big-integer products, and the signed digits unpack once.  A power
+    packs once, at a width from the l1 norm, powers the packed pair by
+    :func:`arith._power` and unpacks once.  A scalar multiplies as a constant
+    polynomial.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_record",)
 
     def __init__(self, coeffs: dict[int, QuadElem | RatLike] | None = None) -> None:
-        cleaned: dict[int, QuadElem] = {}
+        triples = {}
         for exponent, value in (coeffs or {}).items():
             _check_at_least("exponent", exponent, None)
-            coeff = value if isinstance(value, QuadElem) else QuadElem(value)
-            if coeff:
-                cleaned[exponent] = coeff
-        self._coeffs = cleaned
+            triples[exponent] = _triple(value if isinstance(value, QuadElem) else QuadElem(value))
+        d = lcm(*(c_d for _, _, c_d in triples.values()))
+        scaled = {e: (p * (d // c_d), q * (d // c_d)) for e, (p, q, c_d) in triples.items()}
+        self._record = _sparse_record(scaled, d)
 
     @classmethod
     def one(cls) -> LaurentPoly:
@@ -65,26 +71,38 @@ class LaurentPoly:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coeffs))
+        return tuple(exponent for exponent, _ in self._terms())
 
     def coefficient(self, exponent: int) -> QuadElem:
-        return self._coeffs.get(_check_at_least("exponent", exponent, None), QUAD_ZERO)
+        low, step, rational, root2, d = self._record
+        k, off_step = divmod(_check_at_least("exponent", exponent, None) - low, step or 1)
+        if off_step or not 0 <= k < len(rational):
+            return QUAD_ZERO
+        return _reduced(rational[k], root2[k], d)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._record[2]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._record == other._record
 
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for exponent, coeff in other._coeffs.items():
-            merged[exponent] = merged.get(exponent, QUAD_ZERO) + coeff
-        return LaurentPoly(merged)
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
+        (low1, step1, p1, _, d1), (low2, step2, p2, _, d2) = self._record, other._record
+        low, step, d = min(low1, low2), gcd(step1, step2, low1 - low2) or 1, lcm(d1, d2)
+        length = (max(low1 + step1 * (len(p1) - 1), low2 + step2 * (len(p2) - 1)) - low) // step + 1
+        rational, root2 = [0] * length, [0] * length
+        for low_i, step_i, p_i, q_i, d_i in (self._record, other._record):
+            scale, start, stride = d // d_i, (low_i - low) // step, step_i // step
+            for k, (p, q) in enumerate(zip(p_i, q_i)):
+                rational[start + k * stride] += p * scale
+                root2[start + k * stride] += q * scale
+        return _new(_record(low, step, rational, root2, d))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
@@ -92,67 +110,132 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self._coeffs.items()})
+        low, step, rational, root2, d = self._record
+        return _new((low, step, tuple(-p for p in rational), tuple(-q for q in root2), d))
 
     def __mul__(self, other: LaurentPoly | QuadElem | RatLike) -> LaurentPoly:
         if isinstance(other, (QuadElem, int, Fraction)):
             other = LaurentPoly({0: other})
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not (self._coeffs and other._coeffs):
-            return LaurentPoly()
-        low1, low2 = min(self._coeffs), min(other._coeffs)
-        step = gcd(*(e - low1 for e in self._coeffs), *(e - low2 for e in other._coeffs)) or 1
-        p1, q1, d1, bound1 = lists = _integer_lists(self, low1, step)
-        p2, q2, d2, bound2 = lists if other is self else _integer_lists(other, low2, step)
-        count = len(p1) + len(p2) - 1
+        if self.is_zero() or other.is_zero():
+            return _new(_ZERO)
+        (low1, step1, p1, q1, d1), (low2, step2, p2, q2, d2) = self._record, other._record
+        step = gcd(step1, step2) or 1
+        p1, q1 = _spread(p1, step1 // step), _spread(q1, step1 // step)
+        p2, q2 = _spread(p2, step2 // step), _spread(q2, step2 // step)
+        bound1, bound2 = _bound(p1, q1), _bound(p2, q2)
         # A product digit sums at most min(len) terms p1*p2 + 2*q1*q2 or
         # p1*q2 + q1*p2, each at most 2*bound1*bound2 in size; one more bit
         # holds the sign.
         size = (2 * min(len(p1), len(p2)) * bound1 * bound2).bit_length() // 8 + 1
-        x1, y1 = _pack(p1, size), _pack(q1, size)
-        x2, y2 = (x1, y1) if other is self else (_pack(p2, size), _pack(q2, size))
-        pp, qq = x1 * x2, y1 * y2
-        rational = _unpack(pp + 2 * qq, count, size)
-        root2 = _unpack((x1 + y1) * (x2 + y2) - pp - qq, count, size)
-        d, low = d1 * d2, low1 + low2
-        return LaurentPoly(
-            {low + step * k: _reduced(p, q, d) for k, (p, q) in enumerate(zip(rational, root2)) if p or q}
-        )
+        packed = (_pack(p1, size), _pack(q1, size))
+        x, y = _pair_product(packed, packed if other is self else (_pack(p2, size), _pack(q2, size)))
+        count = len(p1) + len(p2) - 1
+        return _new(_record(low1 + low2, step, _unpack(x, count, size), _unpack(y, count, size), d1 * d2))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
-        return _power(self, n, LaurentPoly.one())
+        _check_at_least("exponent", n, 0)
+        low, step, rational, root2, d = self._record
+        if not (n and rational):
+            return self if n else LaurentPoly.one()
+        # Every coefficient of the power is at most (sum|P| + 2*sum|Q|)**n in
+        # size: that is the value at X = 1 of the power of the polynomial of
+        # the sizes, with sqrt 2 read as 2.  One more bit holds the sign.
+        l1_norm = sum(map(abs, rational)) + 2 * sum(map(abs, root2))
+        size = (l1_norm**n).bit_length() // 8 + 1
+        x, y = _power((_pack(rational, size), _pack(root2, size)), n, (1, 0), _pair_product)
+        count = (len(rational) - 1) * n + 1
+        return _new(_record(low * n, step, _unpack(x, count, size), _unpack(y, count, size), d**n))
 
     def evaluate(self, x: QuadElem) -> QuadElem:
         """Exact value at X = x; x must be invertible if negative exponents
         are present."""
-        inv = x.inverse() if any(e < 0 for e in self._coeffs) else None
+        terms = self._terms()
+        inv = x.inverse() if any(e < 0 for e, _ in terms) else None
         total = QUAD_ZERO
-        for exponent, coeff in self._coeffs.items():
+        for exponent, coeff in terms:
             power = x**exponent if exponent >= 0 else inv ** (-exponent)  # type: ignore[operator]
             total = total + coeff * power
         return total
 
+    def _terms(self) -> list[tuple[int, QuadElem]]:
+        """(exponent, coefficient) of every nonzero coefficient, exponents rising."""
+        low, step, rational, root2, d = self._record
+        pairs = enumerate(zip(rational, root2))
+        return [(low + step * k, _reduced(p, q, d)) for k, (p, q) in pairs if p or q]
+
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if self.is_zero():
             return "LaurentPoly(0)"
-        terms = " + ".join(f"({self._coeffs[e]})*X^{e}" for e in sorted(self._coeffs, reverse=True))
+        terms = " + ".join(f"({coeff})*X^{exponent}" for exponent, coeff in reversed(self._terms()))
         return f"LaurentPoly({terms})"
 
 
-def _integer_lists(poly: LaurentPoly, low: int, step: int) -> tuple[list[int], list[int], int, int]:
-    """(P, Q, d, bound) of a nonzero polynomial whose exponents are ``low``
-    plus multiples of ``step``: its coefficient at X**(low + k*step) is
-    (P[k] + Q[k]*sqrt 2)/d over the one common denominator d, and every
-    |P[k]| + |Q[k]| is at most ``bound``."""
-    triples = {(e - low) // step: _triple(c) for e, c in poly._coeffs.items()}
-    d, length = lcm(*(c_d for _, _, c_d in triples.values())), max(triples) + 1
+def _new(record: Record) -> LaurentPoly:
+    """The polynomial of a record already in canonical form."""
+    poly = object.__new__(LaurentPoly)
+    poly._record = record
+    return poly
+
+
+def _record(low: int, step: int, rational: list[int], root2: list[int], d: int) -> Record:
+    """The canonical record of the sum of (rational[k] + root2[k]*sqrt 2)/d *
+    X**(low + k*step), d > 0: the zero coefficients at either end dropped, the
+    step widened to the gcd of the exponent gaps, and d divided through by
+    gcd(d, *P, *Q).  d goes first, so an integral polynomial pays no gcd."""
+    nonzero = [k for k, (p, q) in enumerate(zip(rational, root2)) if p or q]
+    if not nonzero:
+        return _ZERO
+    first, stop = nonzero[0], nonzero[-1] + 1
+    widen = gcd(*(k - first for k in nonzero))
+    rational, root2 = rational[first : stop : widen or 1], root2[first : stop : widen or 1]
+    content = gcd(d, *rational, *root2)
+    if content != 1:
+        rational, root2, d = [p // content for p in rational], [q // content for q in root2], d // content
+    return low + step * first, step * widen, tuple(rational), tuple(root2), d
+
+
+def _sparse_record(numerators: dict[int, tuple[int, int]], d: int) -> Record:
+    """The record of the sum of (p + q*sqrt 2)/d * X**e over {e: (p, q)}."""
+    exponents = [e for e, (p, q) in numerators.items() if p or q]
+    if not exponents:
+        return _ZERO
+    low = min(exponents)
+    step = gcd(*(e - low for e in exponents)) or 1
+    length = (max(exponents) - low) // step + 1
     rational, root2 = [0] * length, [0] * length
-    for k, (p, q, c_d) in triples.items():
-        rational[k], root2[k] = p * (d // c_d), q * (d // c_d)
-    return rational, root2, d, max(abs(p) + abs(q) for p, q in zip(rational, root2))
+    for e in exponents:
+        rational[(e - low) // step], root2[(e - low) // step] = numerators[e]
+    return _record(low, step, rational, root2, d)
+
+
+def _spread(digits: tuple[int, ...], stride: int) -> list[int]:
+    """``digits`` at every ``stride``-th place, zeros between; a stride of 0
+    (a single term) or 1 leaves them as they are."""
+    if stride <= 1:
+        return list(digits)
+    spread = [0] * ((len(digits) - 1) * stride + 1)
+    spread[::stride] = digits
+    return spread
+
+
+def _bound(rational: list[int], root2: list[int]) -> int:
+    """The largest |P[k]| + |Q[k]|."""
+    return max(abs(p) + abs(q) for p, q in zip(rational, root2))
+
+
+def _pair_product(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """(x1 + y1*sqrt 2)*(x2 + y2*sqrt 2) in Z[sqrt 2] as an integer pair, by
+    three products: x1*x2, y1*y2 and (x1 + y1)*(x2 + y2), or for a square
+    (``u is v``) x*x, y*y and x*y."""
+    (x1, y1), (x2, y2) = u, v
+    if u is v:
+        return x1 * x1 + 2 * y1 * y1, 2 * x1 * y1
+    xx, yy = x1 * x2, y1 * y2
+    return xx + 2 * yy, (x1 + y1) * (x2 + y2) - xx - yy
 
 
 def _halves(count: int, size: int) -> int:
@@ -160,7 +243,7 @@ def _halves(count: int, size: int) -> int:
     return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
-def _pack(digits: list[int], size: int) -> int:
+def _pack(digits: Sequence[int], size: int) -> int:
     """sum digits[k] * 2**(8*size*k), the Kronecker substitution of a list of
     signed digits each smaller in size than 2**(8*size - 1): shifted by half a
     digit's range, the digits are the bytes of one int."""
@@ -176,25 +259,38 @@ def _unpack(value: int, count: int, size: int) -> list[int]:
     return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
 
 
+def _alpha_power(o: int) -> tuple[int, int]:
+    """(x, y) with ALPHA**o = x + y*sqrt 2 at any integer o, by the pair
+    product through :func:`arith._power`; ALPHA**-o is the conjugate of
+    ALPHA**o, since ALPHA*BETA = 1."""
+    x, y = _power((3, 2), abs(o), (1, 0), _pair_product)
+    return (x, y) if o >= 0 else (x, -y)
+
+
 def encode(bterms: Iterable[tuple[RatLike, int, int]], constant: RatLike = 0) -> LaurentPoly:
     """constant + sum of coeff * B(s*n + o) as a Laurent polynomial in X = ALPHA**n,
     by B(s*n + o) = (ALPHA**o * X**s - BETA**o * X**-s) / (4*sqrt 2).
 
-    BETA**o is the conjugate of ALPHA**o, and so is ALPHA**o of ALPHA**(-o)
-    for a negative offset o.
+    With ALPHA**o = x + y*sqrt 2 and BETA**o its conjugate, a term puts
+    coeff*(2y + x*sqrt 2)/8 at X**s and coeff*(2y - x*sqrt 2)/8 at X**-s; the
+    record is built from these integers over one common denominator.
     """
-    coeffs: dict[int, QuadElem] = {0: QuadElem(constant)}
-    for coeff, s, o in bterms:
-        alpha_o = ALPHA**o if o >= 0 else (ALPHA**-o).conj()
-        scale = _INV_FOUR_SQRT2 * coeff
-        coeffs[s] = coeffs.get(s, QUAD_ZERO) + alpha_o * scale
-        coeffs[-s] = coeffs.get(-s, QUAD_ZERO) - alpha_o.conj() * scale
-    return LaurentPoly(coeffs)
+    terms = [(Fraction(coeff), s, _alpha_power(o)) for coeff, s, o in bterms]
+    constant = Fraction(constant)
+    d = lcm(constant.denominator, *(8 * coeff.denominator for coeff, _, _ in terms))
+    numerators = {0: [constant.numerator * (d // constant.denominator), 0]}
+    for coeff, s, (x, y) in terms:
+        k = coeff.numerator * (d // (8 * coeff.denominator))
+        for exponent, root2 in ((s, x * k), (-s, -x * k)):
+            entry = numerators.setdefault(exponent, [0, 0])
+            entry[0] += 2 * y * k
+            entry[1] += root2
+    return _new(_sparse_record(numerators, d))
 
 
 def _proves_power(form: LinearForm, power: int) -> bool:
     """Whether ``form`` equals B(n)**power for every n."""
-    return (encode(form.bterms, form.constant) - encode([(1, 1, 0)]) ** power).is_zero()
+    return encode(form.bterms, form.constant) == encode([(1, 1, 0)]) ** power
 
 
 def verify_odd_power_identity(l: int) -> bool:
@@ -229,8 +325,14 @@ def _proves_sum(expr: ClosedSumExpr, summand: LaurentPoly) -> bool:
     where a polynomial's value is the sum of its coefficients."""
     terms = encode(expr.bterms)
     minus_previous = encode([(-coeff, s, o - s) for coeff, s, o in expr.bterms], expr.linear_coeff)
-    first = sum(terms._coeffs.values(), QuadElem(expr.linear_coeff + expr.constant))
-    return first == sum(summand._coeffs.values(), QUAD_ZERO) and (terms + minus_previous - summand).is_zero()
+    first = _at_one(terms) + QuadElem(expr.linear_coeff + expr.constant)
+    return first == _at_one(summand) and terms + minus_previous == summand
+
+
+def _at_one(poly: LaurentPoly) -> QuadElem:
+    """The value at X = 1: the sum of the coefficients."""
+    _, _, rational, root2, d = poly._record
+    return _reduced(sum(rational), sum(root2), d)
 
 
 def verify_power_sum_formula(m: int, l: int) -> bool:

@@ -1,15 +1,25 @@
 """Test-session settings: write no bytecode cache, in this process or in the
-subprocesses the CLI tests start, so a test run leaves the tree as it found it.
-Fixtures that set the interpreter's int/str digit limit for one test."""
+subprocesses the CLI tests start, so a test run leaves the tree as it found it;
+run Hypothesis without its explain phase.  Fixtures that set the interpreter's
+int/str digit limit for one test."""
 
 import os
 import sys
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import Phase, settings
 
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+# Every phase but explain: Hypothesis still generates and shrinks, but does
+# not re-run a failing example over and over to annotate its report, which
+# with big-integer examples took minutes and hundreds of MB per failure.
+settings.register_profile(
+    "no-explain", parent=settings.default, phases=[phase for phase in Phase if phase is not Phase.explain]
+)
+settings.load_profile("no-explain")
 
 # The interpreter's default int/str digit limit.  Python 3.10 before 3.10.7
 # has no limit: there it reads 0, and the fixtures below change nothing.

@@ -663,9 +663,11 @@ class TestReaderLeavesEarly:
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        pytest.param([], set(), id="import"),
-        pytest.param(["--help"], {"balsum.summation", "balsum.laurent"}, id="help"),
-        pytest.param(["gen", "--upto", "10"], {"balsum.summation", "balsum.laurent", "json"}, id="gen"),
+        pytest.param([], {"fractions", "decimal"}, id="import"),
+        pytest.param(["--help"], {"fractions", "decimal"}, id="help"),
+        pytest.param(
+            ["gen", "--upto", "10"], {"balsum.linearize", "balsum.summation", "balsum.laurent", "json"}, id="gen"
+        ),
         pytest.param(["sum", "--m", "2", "--power", "5", "--upto", "30"], {"balsum.laurent", "json"}, id="sum"),
         pytest.param(["formula", "--m", "3", "--power", "8"], {"balsum.laurent"}, id="formula"),
         pytest.param(["linearize", "--power", "8"], {"balsum.laurent"}, id="linearize"),
@@ -687,3 +689,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(argv, unloaded):
     loaded = run.stderr.split()
     assert "balsum.cli" in loaded
     assert not ({"dataclasses", "inspect"} | unloaded) & set(loaded)
+    if argv in ([], ["--help"]):
+        # No library module: the package and its front end alone.
+        assert {name for name in loaded if name.split(".")[0] == "balsum"} == {"balsum", "balsum.cli"}

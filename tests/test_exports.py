@@ -58,6 +58,9 @@ FIRST_STATEMENT = {
     "linearize_after_laurent": "import balsum.laurent",
     "linearize_after_cli": "import balsum.cli",
     "linearize_after_star": "from balsum import *",
+    "linearize_after_submodule": "import balsum.linearize",
+    "linearize_after_from_submodule": "from balsum.linearize import LinearForm",
+    "linearize_swapped": "import balsum",
 }
 
 
@@ -79,6 +82,19 @@ def check(case):
             module = getattr(balsum, home)
             assert isinstance(module, types.ModuleType), home
             assert module is sys.modules[f"balsum.{home}"], home
+    elif case == "linearize_swapped":
+        # A function set on the package stays, also when the submodule first
+        # loads after it: the swap perfbench's tracer makes.
+        def swapped(power):
+            return power
+
+        balsum.linearize = swapped
+        import balsum.laurent  # noqa: F401  (loads balsum.linearize)
+
+        assert "balsum.linearize" in sys.modules
+        assert balsum.linearize is swapped
+        setattr(balsum, "linearize", sys.modules["balsum.linearize"].linearize)
+        assert balsum.linearize is sys.modules["balsum.linearize"].linearize
     elif case == "unknown_name":
         try:
             balsum.no_such_name
