@@ -9,9 +9,11 @@ l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree, and beside
 them the derivation power_sum_formula(m, l) alone: power_sum is that
 derivation plus one evaluation at n.  It times the QuadElem multiply on
 small rationals (a batch of products) and on operands the size of
-ALPHA**(10**5), and each Laurent verifier at one bound (odd
-l = 30, even l = 20, the subsequence lemma at m = 200, and the closed power
-sums for every m <= 6, l <= 8), checking that each proof holds.  It times
+ALPHA**(10**5), the public LaurentPoly product P * (P + X) at
+P = (X - 1/X)**200, checked against P**2 + P*X with the square by the power,
+and each Laurent verifier at one bound (odd l = 30, even l = 20, the
+subsequence lemma at m = 200, and the closed power sums for every m <= 6,
+l <= 8), checking that each proof holds.  It times
 decimal output: a table of B at 0..upto for upto = 1,000, 3,000 and 7,000 as
 the int walk plus str against the exact Decimal walk of `balsum gen`,
 checking that the two agree, and one integer B(N) for N = 10**4 .. 10**5,
@@ -49,6 +51,7 @@ from typing import Callable, TypeVar
 import balsum
 from balsum.arith import ALPHA, QuadElem, _text
 from balsum.laurent import (
+    LaurentPoly,
     verify_even_power_identity,
     verify_odd_power_identity,
     verify_power_sum_formula,
@@ -77,6 +80,8 @@ SHAPES = ((1, 1), (1, 10), (3, 10), (5, 20), (12, 24))
 SIZES = (10**4, 3 * 10**4, 10**5)
 # Products per timed batch of small-rational QuadElem multiplies.
 SMALL_MULS = 10_000
+# P = (X - 1/X)**LAURENT_POWER in the laurent_mul row.
+LAURENT_POWER = 200
 TABLE_UPTOS = (1_000, 3_000, 7_000)
 STR_INDICES = (10**4, 3 * 10**4, 10**5)
 STARTUP_ROUNDS = 9
@@ -139,6 +144,19 @@ def quad_mul_rows() -> dict[str, float]:
     if product != ALPHA ** (2 * 10**5 + 1):
         raise SystemExit("QuadElem multiply disagrees with ALPHA**(2*10**5 + 1)")
     return {f"small_rationals_x{SMALL_MULS}": round(small_ms, 3), "alpha_1e5": round(big_ms, 3)}
+
+
+def laurent_mul_row() -> dict[str, float]:
+    """The LaurentPoly product of two operands of 201 and 202 terms with
+    coefficients up to C(200, 100), P * (P + X) at P = (X - 1/X)**200, checked
+    against P**2 + P*X: the square goes through the power, P*X is a product by
+    a monomial."""
+    x = LaurentPoly.monomial(1)
+    p = (x - LaurentPoly.monomial(-1)) ** LAURENT_POWER
+    ms, product = timed(lambda: p * (p + x))
+    if product != p**2 + p * x:
+        raise SystemExit("P * (P + X) disagrees with P**2 + P*X")
+    return {f"P_times_P_plus_X_at_{LAURENT_POWER}": round(ms, 3)}
 
 
 def alpha_power_rows() -> dict[str, float]:
@@ -228,6 +246,7 @@ def main() -> None:
         "alpha_power": alpha_power_rows(),
         "power_sum_vs_brute_force": sums,
         "quad_mul": quad_mul_rows(),
+        "laurent_mul": laurent_mul_row(),
         "verifiers": verifiers,
         "decimal_output": output_rows(),
         "startup": startup_row(),

@@ -8,7 +8,7 @@ the rest of the library relies on for value equality and serialization.
 What this module adds is :class:`QuadElem`, an exact element a + b*sqrt(2)
 with rational coordinates.  It keeps them as one integer triple (p, q, d)
 meaning (p + q*sqrt 2)/d, with d > 0 and gcd(d, p, q) == 1: a product costs
-four integer products and one gcd, a sum over equal denominators no cross
+one :func:`_pair_product` and one gcd, a sum over equal denominators no cross
 products, and an integral value (d == 1) no big-integer gcd at all, where a
 pair of Fractions would reduce every intermediate.  The constants
 ALPHA = 3 + 2*sqrt(2) and BETA = 3 - 2*sqrt(2) are the two roots of
@@ -26,6 +26,7 @@ import decimal
 import operator
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Callable, TypeVar
 
@@ -61,9 +62,10 @@ def as_integer(value: Fraction | int, what: str = "result") -> int:
     return q.numerator
 
 
+@cache
 def _exact_context() -> decimal.Context:
-    """The largest precision and exponent libmpdec allows, every rounding
-    trapped: a result that does not fit raises, it never loses a digit."""
+    """Built once and shared; no caller sets it or reads its flags: the largest precision and
+    exponent libmpdec allows, every rounding trapped, so a result that does not fit raises."""
     signals = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
     return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=signals)
 
@@ -178,14 +180,12 @@ class QuadElem:
         return _canonical(-self._p, -self._q, self._d)
 
     def __mul__(self, other: QuadElem | RatLike) -> QuadElem:
-        p1, q1, d1 = self._p, self._q, self._d
-        if other is self:  # a square takes three products
-            return _reduced(p1 * p1 + 2 * q1 * q1, 2 * p1 * q1, d1 * d1)
         o = _triple(other)
         if o is None:
             return NotImplemented
-        p2, q2, d2 = o
-        return _reduced(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+        u = (self._p, self._q)
+        x, y = _pair_product(u, u if other is self else o[:2])
+        return _reduced(x, y, self._d * o[2])
 
     __rmul__ = __mul__
 
@@ -241,9 +241,9 @@ def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul
     squares the result, as ``mul(result, result)``, and a set bit then
     multiplies it by the original ``base``, so n takes n.bit_length() - 1
     squarings and one product by ``base`` per set bit after the first.  The
-    one exponentiation loop of QuadElem, LaurentPoly and the matrix oracle of
-    :mod:`balsum.sequences`; n = 0 gives ``one``.  A negative or non-int n
-    raises ValueError."""
+    one exponentiation loop of QuadElem, LaurentPoly, :func:`_alpha_power` and
+    the matrix oracle of :mod:`balsum.sequences`; n = 0 gives ``one``.  A
+    negative or non-int n raises ValueError."""
     _check_at_least("exponent", n, 0)
     if n == 0:
         return one
@@ -253,6 +253,28 @@ def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul
         if bit == "1":
             result = mul(result, base)
     return result
+
+
+def _pair_product(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """(x1 + y1*sqrt 2)*(x2 + y2*sqrt 2) as an integer pair: the one product in Z[sqrt 2],
+    of QuadElem numerators, ALPHA powers and packed Laurent polynomials.  A square
+    (``u is v``) takes x*x, y*y and x*y; four nonzero parts take x1*x2, y1*y2 and
+    (x1 + y1)*(x2 + y2); a zero part leaves the schoolbook products that do not vanish."""
+    (x1, y1), (x2, y2) = u, v
+    if u is v:
+        return x1 * x1 + 2 * y1 * y1, 2 * x1 * y1
+    if not (x1 and y1 and x2 and y2):
+        return x1 * x2 + 2 * y1 * y2, x1 * y2 + y1 * x2
+    xx, yy = x1 * x2, y1 * y2
+    return xx + 2 * yy, (x1 + y1) * (x2 + y2) - xx - yy
+
+
+def _alpha_power(o: int) -> tuple[int, int]:
+    """(x, y) with ALPHA**o = x + y*sqrt 2 at any integer o, by
+    :func:`_pair_product` through :func:`_power`; ALPHA**-o is the conjugate
+    of ALPHA**o, since ALPHA*BETA = 1."""
+    x, y = _power((3, 2), abs(o), (1, 0), _pair_product)
+    return (x, y) if o >= 0 else (x, -y)
 
 
 def _canonical(p: int, q: int, d: int) -> QuadElem:

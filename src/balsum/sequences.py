@@ -18,10 +18,11 @@ independently of the doubling, so each serves as a test oracle for it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .arith import ALPHA, _check_at_least, _exact_context, _power, as_integer
+from .arith import _alpha_power, _check_at_least, _exact_context, _power, as_integer
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -106,17 +107,17 @@ def balancing_binet(n: int) -> int:
 
     ALPHA**n = a + b*sqrt(2) with b = 2*B(n), because the conjugate power
     BETA**n contributes -b*sqrt(2) and the difference of the two powers is
-    4*sqrt(2)*B(n).  Test oracle for :func:`balancing_pair`; also
-    ``balsum gen --method binet``.
+    4*sqrt(2)*B(n); (a, b) is the integer pair of :func:`arith._alpha_power`.
+    Test oracle for :func:`balancing_pair`; also ``balsum gen --method binet``.
     """
     _check_index(n)
-    return as_integer((ALPHA**n).b / 2, f"half the sqrt(2) part of ALPHA**{n}")
+    return as_integer(Fraction(_alpha_power(n)[1], 2), f"half the sqrt(2) part of ALPHA**{n}")
 
 
 def lucas_balancing_binet(n: int) -> int:
     """C(n) as the rational part of ALPHA**n; a test oracle."""
     _check_index(n)
-    return as_integer((ALPHA**n).a, f"rational part of ALPHA**{n}")
+    return _alpha_power(n)[0]
 
 
 def gf_coefficients(count: int) -> list[int]:

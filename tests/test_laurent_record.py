@@ -1,5 +1,5 @@
-"""The integer record of a LaurentPoly: powers packed at the l1 width, ALPHA**o
-as an integer pair, and one record per polynomial however it is made."""
+"""The integer form of a LaurentPoly: powers packed at the l1 width, ALPHA**o
+as an integer pair, and one form per polynomial however it is made."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,27 +13,28 @@ from balsum.arith import ALPHA, QUAD_ZERO, SQRT2, QuadElem
 from balsum.laurent import LaurentPoly, encode
 from test_laurent import dict_product, rational_coefficients, sparse_polys
 
-ZERO_RECORD = (0, 0, (), (), 1)
+ZERO_FORM = ({}, 1)
 
 
-def is_canonical(record):
-    """Whether ``record`` is in the canonical form the class docstring states."""
-    low, step, rational, root2, d = record
-    if not rational:
-        return record == ZERO_RECORD
-    nonzero = [k for k, (p, q) in enumerate(zip(rational, root2)) if p or q]
+def form(poly):
+    """The integers ``poly`` is held as: its map {exponent: (p, q)} and its d."""
+    return poly._coeffs, poly._d
+
+
+def is_canonical(poly):
+    """Whether ``poly`` is in the canonical form the class docstring states."""
+    coeffs, d = form(poly)
+    numerators = [value for pair in coeffs.values() for value in pair]
     return (
-        len(rational) == len(root2)
-        and nonzero[0] == 0
-        and nonzero[-1] == len(rational) - 1
-        and (gcd(*nonzero) == 1 and step > 0 if len(nonzero) > 1 else step == 0)
+        all(type(e) is int and type(pair) is tuple and pair != (0, 0) for e, pair in coeffs.items())
+        and all(type(value) is int for value in numerators)
         and d > 0
-        and gcd(d, *rational, *root2) == 1
+        and gcd(d, *numerators) == 1
     )
 
 
 def quad_encode(bterms, constant=0):
-    """encode by QuadElem arithmetic, as it was written before the record: the
+    """encode by QuadElem arithmetic, as it was written before the integer form: the
     oracle of the integer encoding."""
     coeffs = {0: QuadElem(constant)}
     for coeff, s, o in bterms:
@@ -97,7 +98,7 @@ def test_zero_has_one_record():
         encode([(Fraction(1, 3), 1, 1)], 0) - encode([(Fraction(1, 3), 1, 1)], 0),
     ]
     for zero in zeros:
-        assert zero._record == ZERO_RECORD
+        assert form(zero) == ZERO_FORM
         assert zero.is_zero()
     assert LaurentPoly() ** 0 == LaurentPoly.one()
 
@@ -114,11 +115,11 @@ def test_equal_polynomials_have_equal_records(p, q, scalar):
         "dict square": dict_product(p, p),
     }
     for way, poly in made.items():
-        assert is_canonical(poly._record), way
-    assert made["square"]._record == made["dict square"]._record
+        assert is_canonical(poly), way
+    assert form(made["square"]) == form(made["dict square"])
     for way in ("constructor", "sum", "sums of terms", "product by one", "product by a scalar and back"):
-        assert made[way]._record == p._record, way
-    assert is_canonical((p * q)._record) and is_canonical((p + q)._record) and is_canonical((-p)._record)
+        assert form(made[way]) == form(p), way
+    assert is_canonical(p * q) and is_canonical(p + q) and is_canonical(-p)
 
 
 offsets = st.integers(-40, 40)
@@ -130,5 +131,5 @@ bterm_lists = st.lists(
 @given(bterm_lists, st.one_of(st.integers(-9, 9), rational_coefficients))
 def test_encode_builds_the_record_of_the_quad_elem_encoding(bterms, constant):
     encoded = encode(bterms, constant)
-    assert is_canonical(encoded._record)
-    assert encoded._record == quad_encode(bterms, constant)._record
+    assert is_canonical(encoded)
+    assert form(encoded) == form(quad_encode(bterms, constant))

@@ -3,7 +3,7 @@ import decimal
 import pytest
 
 from balsum import sequences
-from balsum.arith import ALPHA
+from balsum.arith import ALPHA, InexactResultError
 from balsum.sequences import (
     balancing,
     balancing_binet,
@@ -125,6 +125,15 @@ def test_binet_parity():
         assert power.b.denominator == 1 and power.b.numerator % 2 == 0
         assert power.a == lucas_balancing(n)
         assert power.b == 2 * balancing(n)
+
+
+def test_binet_raises_on_an_odd_sqrt2_part(monkeypatch):
+    # The oracle reads B(n) as half the sqrt 2 part of ALPHA**n: an odd part
+    # is no balancing number, and must raise rather than round.
+    monkeypatch.setattr(sequences, "_alpha_power", lambda n: (17, 13))
+    with pytest.raises(InexactResultError, match="half the sqrt"):
+        balancing_binet(2)
+    assert lucas_balancing_binet(2) == 17
 
 
 def test_gf_coefficients():
