@@ -24,12 +24,18 @@ is the median of five calls, or the time of a single call when that takes
 over a second.  No cache is involved: every power_sum call derives its
 formula afresh, so every call is cold.
 
-The one row out of process is start-up: fresh `python -m balsum` processes,
-one small request per subcommand and `--help`, against the floor
+Two rows run out of process.  Start-up times fresh `python -m balsum`
+processes, one small request per subcommand and `--help`, against the floor
 `python -c "import fractions, argparse"`, nine of each, interleaved, run from
 a copy of the package without `__pycache__` and with
 PYTHONDONTWRITEBYTECODE=1, so every module is compiled as in the benchmark.
-It reports the median of each in ms.
+It reports the median of each in ms.  Teardown times the end of each
+process: in the same rounds, each `balsum` request of the start-up row
+runs once more, through `runpy` as `python -m` runs it, and writes
+perf_counter (CLOCK_MONOTONIC, one clock for every process) to stderr as the
+entry's `main` returns; the row is the median in ms from then to the exit
+grid.py sees, which covers atexit handlers, the final flushes and the
+interpreter's finalization.
 """
 
 from __future__ import annotations
@@ -94,6 +100,15 @@ STARTUP_COMMANDS = {
     "balsum_verify": ["-m", "balsum", "verify", "--odd-max-l", "2"],
     "floor": ["-c", "import fractions, argparse"],
 }
+# Runs `balsum` as `python -m balsum` does, then writes the time its main
+# returned as the last line of stderr.
+TEARDOWN_WRAPPER = (
+    "import runpy, sys, time\n"
+    "try:\n"
+    "    runpy.run_module('balsum', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    sys.stderr.write(f'\\n{time.perf_counter()}')\n"
+)
 VERIFIERS = {
     "odd_l30": lambda: verify_odd_power_identity(30),
     "even_l20": lambda: verify_even_power_identity(20),
@@ -192,10 +207,15 @@ def output_rows() -> dict[str, dict[str, dict[str, float]]]:
     return {"table": tables, "str_B_n": singles}
 
 
-def startup_row() -> dict[str, float]:
-    """Median wall time in ms of each STARTUP_COMMANDS process, the commands
-    taking turns, from a bytecode-free copy of the package under test."""
-    times: dict[str, list[float]] = {name: [] for name in STARTUP_COMMANDS}
+def process_rows() -> dict[str, dict[str, float]]:
+    """The start-up row, the median wall time in ms of each STARTUP_COMMANDS
+    process, and the teardown row, the median time in ms from the return of
+    each `balsum` request's main to its exit; the commands take turns, from a
+    bytecode-free copy of the package under test."""
+    startup: dict[str, list[float]] = {name: [] for name in STARTUP_COMMANDS}
+    teardown: dict[str, list[float]] = {
+        name: [] for name, args in STARTUP_COMMANDS.items() if args[:2] == ["-m", "balsum"]
+    }
     with tempfile.TemporaryDirectory() as tmp:
         package = Path(balsum.__file__).parent
         shutil.copytree(package, Path(tmp, package.name), ignore=shutil.ignore_patterns("__pycache__"))
@@ -204,8 +224,18 @@ def startup_row() -> dict[str, float]:
             for name, args in STARTUP_COMMANDS.items():
                 start = perf_counter()
                 subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
-                times[name].append(1e3 * (perf_counter() - start))
-    return {name: round(statistics.median(ms), 1) for name, ms in times.items()}
+                startup[name].append(1e3 * (perf_counter() - start))
+                if name in teardown:
+                    run = subprocess.run(
+                        [sys.executable, "-c", TEARDOWN_WRAPPER, *args[2:]],
+                        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True,
+                    )
+                    main_returned = float(run.stderr.rsplit(b"\n", 1)[-1])
+                    teardown[name].append(1e3 * (perf_counter() - main_returned))
+    return {
+        row: {name: round(statistics.median(ms), 1) for name, ms in times.items()}
+        for row, times in (("startup", startup), ("teardown", teardown))
+    }
 
 
 def main() -> None:
@@ -249,7 +279,7 @@ def main() -> None:
         "laurent_mul": laurent_mul_row(),
         "verifiers": verifiers,
         "decimal_output": output_rows(),
-        "startup": startup_row(),
+        **process_rows(),
     }, indent=2))
 
 

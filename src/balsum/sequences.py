@@ -77,6 +77,13 @@ def lucas_balancing(n: int) -> int:
 
 
 def _mat_mul(x: Mat2, y: Mat2) -> Mat2:
+    """The 2x2 product x*y; a square (``x is y``) of [[a, b], [c, d]] takes
+    five products, a*a, b*c, d*d, b*(a+d) and c*(a+d), where the general
+    product takes eight."""
+    if x is y:
+        (a, b), (c, d) = x
+        bc, trace = b * c, a + d
+        return (a * a + bc, b * trace), (c * trace, d * d + bc)
     return (
         (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
         (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),

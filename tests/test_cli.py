@@ -6,6 +6,7 @@ console script behaves in a shell.
 """
 
 import decimal
+import gc
 import io
 import json
 import os
@@ -658,6 +659,75 @@ class TestReaderLeavesEarly:
         _, stderr = proc.communicate(timeout=60)
         assert stderr == b""
         assert proc.returncode == 0
+
+
+# A hook that reports on stderr, as the interpreter begins its teardown,
+# whether the collector was frozen; the scripts below install it first.
+_FROZEN_AT_EXIT = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'frozen={gc.get_freeze_count() > 0}'))\n"
+)
+# The process entry, run as `python -m balsum` runs it.
+_ENTRY = "import runpy\nrunpy.run_module('balsum', run_name='__main__', alter_sys=True)\n"
+# The same request through cli.main alone, which never freezes.
+_CLI_ONLY = "import balsum.cli\nsys.exit(balsum.cli.main())\n"
+_FAILING_VERIFIER = "import balsum.laurent\nbalsum.laurent.verify_odd_power_identity = lambda bound: False\n"
+
+
+class TestProcessEntryFreezes:
+    """`python -m balsum` and the `balsum` script freeze the collector on
+    every way out, and the freeze changes no output; `cli.main` never
+    freezes."""
+
+    def run(self, body, argv, **kwargs):
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        return subprocess.run(
+            [sys.executable, "-c", _FROZEN_AT_EXIT + body, *argv],
+            stderr=subprocess.PIPE,
+            env=_env_with_src(),
+            timeout=120,
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, setup, status",
+        [
+            pytest.param(["sum", "--m", "2", "--power", "3", "--upto", "5"], "", 0, id="sum"),
+            pytest.param(["--help"], "", 0, id="help"),
+            pytest.param(["sum", "--m", "0", "--power", "1", "--upto", "3"], "", 2, id="usage_error"),
+            pytest.param(["verify", "--odd-max-l", "1"], _FAILING_VERIFIER, 1, id="verify_fails"),
+        ],
+    )
+    def test_every_exit_freezes_and_writes_the_same(self, argv, setup, status):
+        entry = self.run(setup + _ENTRY, argv)
+        plain = self.run(setup + _CLI_ONLY, argv)
+        assert entry.returncode == plain.returncode == status
+        assert entry.stdout == plain.stdout
+        assert plain.stderr.endswith(b"frozen=False")
+        assert entry.stderr == plain.stderr.removesuffix(b"frozen=False") + b"frozen=True"
+
+    def test_a_closed_reader_still_freezes(self):
+        # As in TestReaderLeavesEarly: the reader is gone before the request
+        # starts, and the request still ends with status 0.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            entry = self.run(_ENTRY, ["sum", "--m", "1", "--power", "1", "--upto", "4"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert entry.returncode == 0
+        assert entry.stderr == b"frozen=True"
+
+    def test_importing_the_entry_runs_nothing(self):
+        run = self.run("import balsum.__main__\n", ["sum", "--m", "1", "--power", "1", "--upto", "4"])
+        assert (run.returncode, run.stdout, run.stderr) == (0, b"", b"frozen=False")
+
+    def test_cli_main_in_process_never_freezes(self, capsys):
+        assert gc.get_freeze_count() == 0
+        assert run_cli(capsys, ["sum", "--m", "2", "--power", "3", "--upto", "5"])[0] == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import decimal
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from balsum import sequences
 from balsum.arith import ALPHA, InexactResultError
@@ -59,6 +61,20 @@ def test_pair_matches_matrix_around_powers_of_two():
     for k in range(17):
         for n in {2**k - 1, 2**k, 2**k + 1}:
             assert balancing_pair(n) == (balancing_fast(n), lucas_balancing_fast(n))
+
+
+# Signed 2x2 matrices with entries up to about 2**200.
+big_ints = st.integers(-(2**200), 2**200)
+matrices = st.tuples(st.tuples(big_ints, big_ints), st.tuples(big_ints, big_ints))
+
+
+@given(matrices)
+def test_matrix_square_matches_the_general_product(x):
+    # The same operand twice takes the five-product square; an equal copy
+    # takes the eight-product general path.
+    copy = (x[0], x[1])
+    assert copy is not x
+    assert sequences._mat_mul(x, x) == sequences._mat_mul(x, copy)
 
 
 def test_pair_pell_relation():
