@@ -130,7 +130,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import laurent
 
     # Per family: the bound given, the label, the first case, the verifier,
-    # and the bound of the full sweep that runs when no bound is given.
+    # and the bound of the full sweep that runs when no bound is given.  Bounds
+    # that select no case are a usage error.
     families = [
         (args.odd_max_l, "odd l", 0, laurent.verify_odd_power_identity, 10),
         (args.even_max_l, "even l", 1, laurent.verify_even_power_identity, 6),
@@ -147,6 +148,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"{label}={k}: {'PASS' if ok else 'FAIL'}")
             cases += 1
             failed += not ok
+    if not cases:
+        args.error("no case to check: even l starts at 1, lemma m at 2")
     print(f"summary: {cases - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--lemma-max-m", "subsequence recurrences for m = 2..N"),
     ]:
         verify.add_argument(flag, type=nonneg, help=f"check {what}")
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=_cmd_verify, error=verify.error)
 
     return parser
 

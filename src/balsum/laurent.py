@@ -14,9 +14,9 @@ function parameters and closed sums), not copies of their formulas.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .arith import QUAD_ONE, QUAD_ZERO, QuadElem, RatLike, _alpha_power, _check_at_least, _pair_product
 from .arith import _power, _reduced, _triple
@@ -33,7 +33,7 @@ class LaurentPoly:
 
     A dict {exponent: coefficient} builds one: every exponent, a zero
     coefficient's too, must be an int; coefficients live in Q(sqrt 2), and
-    ints and Fractions coerce.  Sums and negation work on the integers.
+    ints and Fractions coerce.  Every polynomial is built by :func:`_canonical`.
 
     The map is laid out densely only inside a product or a power.  A product
     is made by Kronecker substitution (Harvey 2009, J. Symbolic Comput. 44):
@@ -48,12 +48,10 @@ class LaurentPoly:
     __slots__ = ("_coeffs", "_d")
 
     def __init__(self, coeffs: dict[int, QuadElem | RatLike] | None = None) -> None:
-        triples = {}
-        for exponent, value in (coeffs or {}).items():
-            _check_at_least("exponent", exponent, None)
-            triples[exponent] = _triple(value if isinstance(value, QuadElem) else QuadElem(value))
-        d = lcm(*(k for _, _, k in triples.values()))
-        poly = _canonical(((e, (p * (d // k), q * (d // k))) for e, (p, q, k) in triples.items()), d)
+        poly = _canonical(
+            (_check_at_least("exponent", e, None), *_triple(value if isinstance(value, QuadElem) else QuadElem(value)))
+            for e, value in (coeffs or {}).items()
+        )
         self._coeffs, self._d = poly._coeffs, poly._d
 
     @classmethod
@@ -83,24 +81,19 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return other if self.is_zero() else self
-        d = lcm(self._d, other._d)
-        sums: dict[int, tuple[int, int]] = {}
-        for poly in (self, other):
-            scale = d // poly._d
-            for e, (p, q) in poly._coeffs.items():
-                p0, q0 = sums.get(e, (0, 0))
-                sums[e] = (p0 + p * scale, q0 + q * scale)
-        return _canonical(sums.items(), d)
+        return _canonical(chain(self._parts(), other._parts()))
 
     def __sub__(self, other: LaurentPoly) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        return _canonical(chain(self._parts(), other._parts(-1)))
 
     def __neg__(self) -> LaurentPoly:
-        return _canonical(((e, (-p, -q)) for e, (p, q) in self._coeffs.items()), self._d)
+        return _canonical(self._parts(-1))
+
+    def _parts(self, sign: int = 1) -> Iterator[tuple[int, int, int, int]]:
+        """The terms (e, p, q, d) of ``sign`` times this polynomial."""
+        return ((e, sign * p, sign * q, self._d) for e, (p, q) in self._coeffs.items())
 
     def __mul__(self, other: LaurentPoly | QuadElem | RatLike) -> LaurentPoly:
         if isinstance(other, (QuadElem, int, Fraction)):
@@ -152,17 +145,27 @@ class LaurentPoly:
         return f"LaurentPoly({terms})"
 
 
-def _canonical(terms: Iterable[tuple[int, tuple[int, int]]], d: int) -> LaurentPoly:
-    """The polynomial sum (p + q*sqrt 2)/d * X**e over ``terms`` (e, (p, q)),
-    each exponent once, d > 0, in canonical form: the pairs (0, 0) dropped
-    and d divided through by gcd(d, every p and q).  d goes first, so an
-    integral polynomial pays no gcd."""
-    coeffs = {e: pair for e, pair in terms if pair != (0, 0)}
-    content = gcd(d, *chain.from_iterable(coeffs.values()))
+def _canonical(terms: Iterable[tuple[int, int, int, int]]) -> LaurentPoly:
+    """The polynomial sum (p + q*sqrt 2)/d * X**e over ``terms`` (e, p, q, d),
+    d > 0, in canonical form: over the lcm of the d, only terms not over it
+    rescaled, equal exponents summed, (0, 0) pairs dropped and the lcm divided
+    by gcd(lcm, every p and q), lcm first so that integers pay no gcd."""
+    terms = list(terms)
+    d = lcm(*{term[3] for term in terms})
+    sums: dict[int, tuple[int, int]] = {}
+    for e, p, q, k in terms:
+        if k != d:
+            scale = d // k
+            p, q = p * scale, q * scale
+        if e in sums:
+            p0, q0 = sums[e]
+            p, q = p0 + p, q0 + q
+        sums[e] = p, q
+    content = gcd(d, *chain.from_iterable(sums.values()))
     if content != 1:
-        coeffs = {e: (p // content, q // content) for e, (p, q) in coeffs.items()}
+        sums = {e: (p // content, q // content) for e, (p, q) in sums.items()}
     poly = object.__new__(LaurentPoly)
-    poly._coeffs, poly._d = coeffs, d // content
+    poly._coeffs, poly._d = {e: pair for e, pair in sums.items() if pair != (0, 0)}, d // content
     return poly
 
 
@@ -207,7 +210,7 @@ def _unpacked(packed: tuple[int, int], low: int, step: int, count: int, size: in
         [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, count * size, size)]
         for raw in ((value + halves).to_bytes(count * size, "little") for value in packed)
     )
-    return _canonical(zip(range(low, low + count * step, step), zip(rational, root2)), d)
+    return _canonical(zip(range(low, low + count * step, step), rational, root2, repeat(d)))
 
 
 def encode(bterms: Iterable[tuple[RatLike, int, int]], constant: RatLike = 0) -> LaurentPoly:
@@ -215,19 +218,16 @@ def encode(bterms: Iterable[tuple[RatLike, int, int]], constant: RatLike = 0) ->
     by B(s*n + o) = (ALPHA**o * X**s - BETA**o * X**-s) / (4*sqrt 2).
 
     With ALPHA**o = x + y*sqrt 2 and BETA**o its conjugate, a term puts
-    coeff*(2y + x*sqrt 2)/8 at X**s and coeff*(2y - x*sqrt 2)/8 at X**-s; the
-    polynomial is built from these integers over one common denominator.
+    coeff*(2y + x*sqrt 2)/8 at X**s and coeff*(2y - x*sqrt 2)/8 at X**-s, as
+    the integer terms :func:`_canonical` reads.
     """
-    terms = [(Fraction(coeff), s, _alpha_power(o)) for coeff, s, o in bterms]
+    terms = []
+    for coeff, s, o in bterms:
+        coeff, (x, y) = Fraction(coeff), _alpha_power(o)
+        p, q, k = 2 * y * coeff.numerator, x * coeff.numerator, 8 * coeff.denominator
+        terms += [(s, p, q, k), (-s, p, -q, k)]
     constant = Fraction(constant)
-    d = lcm(constant.denominator, *(8 * coeff.denominator for coeff, _, _ in terms))
-    numerators = {0: (constant.numerator * (d // constant.denominator), 0)}
-    for coeff, s, (x, y) in terms:
-        k = coeff.numerator * (d // (8 * coeff.denominator))
-        for exponent, root2 in ((s, x * k), (-s, -x * k)):
-            p, q = numerators.get(exponent, (0, 0))
-            numerators[exponent] = (p + 2 * y * k, q + root2)
-    return _canonical(numerators.items(), d)
+    return _canonical([*terms, (0, constant.numerator, 0, constant.denominator)])
 
 
 def _proves_power(form: LinearForm, power: int) -> bool:
@@ -261,20 +261,16 @@ def verify_subsequence_recurrence(m: int) -> bool:
 
 def _proves_sum(expr: ClosedSumExpr, summand: LaurentPoly) -> bool:
     """Whether the record ``expr`` is S(n) = sum_{0<=k<=n} F(k) for every n,
-    ``summand`` being F(k) in X = ALPHA**k.  S(n) - S(n-1) = F(n) is one
-    identity, with each term B(s*n + o) of S(n-1) at offset o - s and its linear
-    part one coefficient lower; S(0) = F(0) is read at X = 1, that is n = 0,
-    where a polynomial's value is the sum of its coefficients."""
-    terms = encode(expr.bterms)
-    minus_previous = encode([(-coeff, s, o - s) for coeff, s, o in expr.bterms], expr.linear_coeff)
-    first = _at_one(terms) + QuadElem(expr.linear_coeff + expr.constant)
-    return first == _at_one(summand) and terms + minus_previous == summand
-
-
-def _at_one(poly: LaurentPoly) -> QuadElem:
-    """The value at X = 1: the sum of the coefficients."""
-    pairs = poly._coeffs.values()
-    return _reduced(sum(p for p, _ in pairs), sum(q for _, q in pairs), poly._d)
+    ``summand`` being F(k) in X = ALPHA**k.  Both checks read ``head``, the
+    encoding of S(n) less its linear term linear_coeff*n.  S(n) - S(n-1) = F(n)
+    is one identity, with each term B(s*n + o) of S(n-1) at offset o - s.
+    S(0) = F(0) compares constant polynomials, the values at X = 1, that is
+    n = 0, where a polynomial's value is the sum of its coefficients."""
+    head = encode(expr.bterms, expr.linear_coeff + expr.constant)
+    minus_previous = encode([(-coeff, s, o - s) for coeff, s, o in expr.bterms], -expr.constant)
+    # The sums of every p and every q, from (0, 0), give the value at X = 1.
+    s0, f0 = ((0, *map(sum, zip((0, 0), *poly._coeffs.values())), poly._d) for poly in (head, summand))
+    return _canonical([s0]) == _canonical([f0]) and head + minus_previous == summand
 
 
 def verify_power_sum_formula(m: int, l: int) -> bool:

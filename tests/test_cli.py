@@ -418,7 +418,8 @@ class TestVerify:
 
 
 class TestUsageMessages:
-    """One integer flag type writes every integer flag's message."""
+    """One integer flag type writes every integer flag's message, and bounds
+    that select no case to verify are a usage error too."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -428,6 +429,10 @@ class TestUsageMessages:
             (["linearize", "--power", "x"], "balsum linearize: error: argument --power: not an integer: 'x'"),
             (["formula", "--m", "1", "--power", "-2"], "balsum formula: error: argument --power: must be non-negative, got -2"),
             (["verify", "--lemma-max-m", "1.5"], "balsum verify: error: argument --lemma-max-m: not an integer: '1.5'"),
+            (["verify", "--even-max-l", "0"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
+            (["verify", "--lemma-max-m", "0"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
+            (["verify", "--lemma-max-m", "1"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
+            (["verify", "--even-max-l", "0", "--lemma-max-m", "1"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
         ],
     )
     def test_message(self, capsys, argv, message):

@@ -73,10 +73,14 @@ def check(case):
     if case == "surface":
         assert len(PUBLIC_NAMES) == 32
         assert sorted(balsum.__all__) == PUBLIC_NAMES
+        assert dir(balsum) == PUBLIC_NAMES
         for home, names in HOMES.items():
             for name in names:
                 value = getattr(balsum, name)
                 assert value is getattr(sys.modules[f"balsum.{home}"], name), name
+        # Every submodule has loaded and is bound on the package; dir lists
+        # the public names alone still.
+        assert dir(balsum) == PUBLIC_NAMES
     elif case == "submodules":
         for home in ("arith", "laurent", "sequences", "summation"):
             module = getattr(balsum, home)
