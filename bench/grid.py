@@ -4,10 +4,12 @@
 
 It times B(n) for n = 10**3 .. 10**6 by each generator (the doubling pair,
 the matrix power and Binet), and ALPHA**n at the same n, checking it against
-C(n) + 2*B(n)*sqrt 2 from the doubling pair, and power_sum against brute_force_power_sum at
-l*m*n = 10**4, 3*10**4 and 10**5, checking that the two agree, and beside
-them the derivation power_sum_formula(m, l) alone: power_sum is that
-derivation plus one evaluation at n.  It times the QuadElem multiply on
+C(n) + 2*B(n)*sqrt 2 from the doubling pair, and power_sum, the Binet sum,
+against brute_force_power_sum at l*m*n = 10**4, 3*10**4 and 10**5, flagging
+each row where power_sum beats brute force, and beside them the record:
+the derivation power_sum_formula(m, l) alone, and that derivation plus one
+evaluation at n, the route power_sum took before it summed the Binet
+formula; all three values are checked equal.  It times the QuadElem multiply on
 small rationals (a batch of products) and on operands the size of
 ALPHA**(10**5), the public LaurentPoly product P * (P + X) at
 P = (X - 1/X)**200, checked against P**2 + P*X with the square by the power,
@@ -21,8 +23,8 @@ the case of a single large output, by str and by `arith._text`, the
 library's writer, which converts through exact Decimal to stay clear of the
 int/str digit limit, checking that the two agree.  Each entry
 is the median of five calls, or the time of a single call when that takes
-over a second.  No cache is involved: every power_sum call derives its
-formula afresh, so every call is cold.
+over a second.  No cache is involved: power_sum derives no formula, and
+every record call derives its formula afresh, so every call is cold.
 
 Two rows run out of process.  Start-up times fresh `python -m balsum`
 processes, one small request per subcommand and `--help`, against the floor
@@ -82,7 +84,7 @@ GENERATORS = {
 }
 INDICES = (10**3, 10**4, 10**5, 10**6)
 # (m, l) pairs; n is chosen so that l*m*n is each of SIZES.
-SHAPES = ((1, 1), (1, 10), (3, 10), (5, 20), (12, 24))
+SHAPES = ((1, 1), (1, 3), (1, 10), (3, 10), (5, 20), (12, 24))
 SIZES = (10**4, 3 * 10**4, 10**5)
 # Products per timed batch of small-rational QuadElem multiplies.
 SMALL_MULS = 10_000
@@ -253,14 +255,16 @@ def main() -> None:
         for m, l in SHAPES:
             n = size // (l * m)
             formula_ms, _ = timed(lambda: power_sum_formula(m, l))
+            record_ms, by_record = timed(lambda: power_sum_formula(m, l).value_at(n))
             closed_ms, closed = timed(lambda: power_sum(m, l, n))
             brute_ms, brute = timed(lambda: brute_force_power_sum(m, l, n))
-            if closed != brute:
-                raise SystemExit(f"power_sum({m}, {l}, {n}) disagrees with brute force")
+            if not closed == by_record == brute:
+                raise SystemExit(f"power_sum({m}, {l}, {n}), its record and brute force disagree")
             sums.append(
                 {"m": m, "l": l, "n": n, "lmn": l * m * n,
-                 "formula_ms": round(formula_ms, 3), "power_sum_ms": round(closed_ms, 3),
-                 "brute_force_ms": round(brute_ms, 3)}
+                 "formula_ms": round(formula_ms, 3), "record_ms": round(record_ms, 3),
+                 "power_sum_ms": round(closed_ms, 3), "brute_force_ms": round(brute_ms, 3),
+                 "beats_brute_force": closed_ms < brute_ms}
             )
     verifiers = {}
     for name, verify in VERIFIERS.items():

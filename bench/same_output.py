@@ -6,8 +6,9 @@ Each request is a fresh `python -m balsum ...`, run one process at a time,
 once under each checkout (PYTHONPATH=<dir>/src, PYTHONDONTWRITEBYTECODE=1,
 working directory <dir>).  The requests are those of the end-to-end
 benchmark, `perfbench/workloads.request_set` of the three workloads at seeds
-1 and 2, followed by a fixed list of usage errors, help texts and the
-default `verify` sweep.  A request whose stdout, stderr or exit code
+1 and 2, followed by a fixed list of usage errors, help texts, edge cases of
+`sum` (an empty sum, a large n, an oracle-checked odd power, the largest
+benchmark shape at a small n) and the default `verify` sweep.  A request whose stdout, stderr or exit code
 differs by sha256 between the two checkouts is printed with what differs;
 the script exits 1 if any request differs, 0 otherwise.
 """
@@ -38,6 +39,10 @@ FIXED = [
     ["sum", "--m", "0", "--power", "1", "--upto", "3"],
     ["sum", "--m", "1", "--power", "-2", "--upto", "3"],
     ["sum", "--m", "1", "--power", "1", "--upto", "2", "--bogus"],
+    ["sum", "--m", "1", "--power", "1", "--upto", "0"],
+    ["sum", "--m", "2", "--power", "2", "--upto", "4000"],
+    ["sum", "--m", "1", "--power", "3", "--upto", "3000", "--oracle"],
+    ["sum", "--m", "12", "--power", "40", "--upto", "21", "--format", "json"],
     ["formula", "--m", "1", "--power", "-2"],
     ["formula", "--m", "1.5", "--power", "1"],
     ["verify", "--odd-max-l", "-1"],

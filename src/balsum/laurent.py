@@ -223,11 +223,11 @@ def encode(bterms: Iterable[tuple[RatLike, int, int]], constant: RatLike = 0) ->
     """
     terms = []
     for coeff, s, o in bterms:
-        coeff, (x, y) = Fraction(coeff), _alpha_power(o)
-        p, q, k = 2 * y * coeff.numerator, x * coeff.numerator, 8 * coeff.denominator
+        (num, den), (x, y) = coeff.as_integer_ratio(), _alpha_power(o)
+        p, q, k = 2 * y * num, x * num, 8 * den
         terms += [(s, p, q, k), (-s, p, -q, k)]
-    constant = Fraction(constant)
-    return _canonical([*terms, (0, constant.numerator, 0, constant.denominator)])
+    num, den = constant.as_integer_ratio()
+    return _canonical([*terms, (0, num, 0, den)])
 
 
 def _proves_power(form: LinearForm, power: int) -> bool:

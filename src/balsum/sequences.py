@@ -8,18 +8,19 @@ subsequence recurrence, and it satisfies the Pell relation
 C(n)**2 - 8*B(n)**2 = 1.
 
 The evaluator is :func:`balancing_pair`, which doubles the pair (B, C) in
-O(log n) multiplications; :func:`balancing` and :func:`lucas_balancing` read
-their value off it.  The O(n) recurrence builds whole tables, in ints
-(:func:`sequence_table`, the table oracle) and in exact decimal for output
-(:func:`decimal_table`).  The recurrence, an O(log n) 2x2 matrix power and
-evaluation through powers of ALPHA = 3 + 2*sqrt(2) are implemented
-independently of the doubling, so each serves as a test oracle for it.
+O(log n) multiplications; :func:`balancing`, :func:`lucas_balancing` and the
+Binet power sum :func:`power_sum` read it.  The O(n) recurrence builds whole
+tables, in ints (:func:`sequence_table`, the table oracle) and in exact
+decimal for output (:func:`decimal_table`).  The recurrence, an O(log n) 2x2
+matrix power and evaluation through powers of ALPHA = 3 + 2*sqrt(2) are
+implemented independently of the doubling, so each is a test oracle for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import comb
 from typing import Iterator
 
 from .arith import _alpha_power, _check_at_least, _exact_context, _power, as_integer
@@ -74,6 +75,33 @@ def lucas_balancing(n: int) -> int:
     """C(n), the companion sequence 1, 3, 17, 99, ..., read off
     :func:`balancing_pair`."""
     return balancing_pair(n)[1]
+
+
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer; InexactResultError otherwise."""
+    quotient, remainder = divmod(num, den)
+    return as_integer(Fraction(num, den), what) if remainder else quotient
+
+
+def power_sum(m: int, l: int, n: int) -> int:
+    """sum_{0<=k<=n} B(k*m)**l by B(x) = (ALPHA**x - ALPHA**-x)/(4*sqrt 2): the sum is
+    (4*sqrt 2)**-l * sum_s (-1)**s * C(l, s) * G(l - 2s), where G(0) = n + 1 and G(j) =
+    (Z - 1)/(W - 1), with W = ALPHA**(m*j) and Z = W**(n+1) each C + 2B*sqrt 2 of
+    :func:`balancing_pair`.  G(-j) = conj G(j) pairs the terms s and l - s into twice the
+    rational part of G(j) for even l, twice its sqrt(2) part for odd l: that part of
+    (Z - 1)*(conj W - 1) over the norm 2 - 2*C(m*j) of W - 1.  Both divisions, by each
+    norm and last by 2**((5l - l%2)/2), are exact or raise.  It checks n, then m, then l."""
+    _check_at_least("index", n, 0)
+    _check_at_least("m", m, 1)
+    _check_at_least("l", l, 1)
+    odd, what = l % 2, f"the power sum for m={m}, l={l} at n={n}"
+    total = 0 if odd else (-1) ** (l // 2) * comb(l, l // 2) * (n + 1)
+    for s in range((l + 1) // 2):
+        bw, cw = balancing_pair(m * (l - 2 * s))
+        bz, cz = balancing_pair(m * (l - 2 * s) * (n + 1))
+        part = 2 * (bz * (cw - 1) - bw * (cz - 1)) if odd else (cz - 1) * (cw - 1) - 8 * bz * bw
+        total += (-1) ** s * 2 * comb(l, s) * _exact(part, 2 - 2 * cw, what)
+    return _exact(total, 1 << (5 * l - odd) // 2, what)
 
 
 def _mat_mul(x: Mat2, y: Mat2) -> Mat2:

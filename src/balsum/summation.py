@@ -6,8 +6,9 @@ The backbone is the generating function of the subsequence B(k*m):
 
 whose partial sums telescope.  :func:`_summed`, the one derivation, sums a
 linear form F into the :class:`ClosedSumExpr` of sum_{0<=k<=n} F(k*m): of
-B(x)**l in :func:`power_sum_formula` (evaluated by :func:`power_sum`), of
-B(x + r) in :func:`shifted_closed_sum` and :func:`closed_sum`, which evaluate it.
+B(x)**l in :func:`power_sum_formula`, of B(x + r) in :func:`shifted_closed_sum`
+and :func:`closed_sum`, which evaluate it.  :func:`power_sum` is the Binet sum
+of :mod:`balsum.sequences`, with no record, so it and the record check each other.
 
 :class:`ClosedSumExpr` shares the exact evaluator, integrality check and text
 renderer of :class:`~balsum.linearize.LinearForm`; it adds the coefficient of
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 from .arith import _check_at_least, _rational, _record_repr, _text
 from .linearize import BTerm, LinearForm, TermKey, _AffineForm, _merge, linearize
-from .sequences import _recurrence, balancing, balancing_pair
+from .sequences import _recurrence, balancing, balancing_pair, power_sum  # noqa: F401  (a public name here)
 
 
 class GFParams(NamedTuple):
@@ -79,12 +80,6 @@ def brute_force_power_sum(m: int, l: int, n: int) -> int:
     _check_at_least("l", l, 1)
     _check_at_least("n", n, 0)
     return sum(b**l for b in islice(_recurrence("B"), 0, m * n + 1, m))
-
-
-def power_sum(m: int, l: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m)**l: :func:`power_sum_formula` at n, n checked before deriving it."""
-    _check_at_least("index", n, 0)
-    return power_sum_formula(m, l).value_at(n)
 
 
 class _ClosedSumFields(NamedTuple):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balsum import laurent, summation
+from balsum import laurent, sequences
 from balsum.cli import build_parser, dump_json, main
 from balsum.sequences import balancing_pair, sequence_table
 from balsum.summation import ClosedSumExpr, power_sum_formula
@@ -322,8 +322,8 @@ class TestSum:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_oracle_mismatch_exits_one(self, capsys, monkeypatch, fmt):
         # 1 + 6 + 35 + 204 + 1189 = 1435; the closed form is made off by one.
-        real = summation.power_sum
-        monkeypatch.setattr(summation, "power_sum", lambda m, l, n: real(m, l, n) + 1)
+        real = sequences.power_sum
+        monkeypatch.setattr(sequences, "power_sum", lambda m, l, n: real(m, l, n) + 1)
         argv = ["sum", "--m", "1", "--power", "1", "--upto", "5", "--oracle", "--format", fmt]
         code, out = run_cli(capsys, argv)
         assert code == 1
@@ -767,3 +767,28 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(argv, unloaded):
     if argv in ([], ["--help"]):
         # No library module: the package and its front end alone.
         assert {name for name in loaded if name.split(".")[0] == "balsum"} == {"balsum", "balsum.cli"}
+
+
+@pytest.mark.parametrize(
+    "oracle, loaded_balsum",
+    [
+        pytest.param([], {"balsum", "balsum.arith", "balsum.cli", "balsum.sequences"}, id="sum"),
+        pytest.param(
+            ["--oracle"],
+            {"balsum", "balsum.arith", "balsum.cli", "balsum.linearize", "balsum.sequences", "balsum.summation"},
+            id="sum-oracle",
+        ),
+    ],
+)
+def test_sum_loads_no_form_code_without_the_oracle(oracle, loaded_balsum):
+    # `sum` evaluates the Binet sum of `sequences`; only the brute-force oracle
+    # of `--oracle` lives beside the forms, in `summation`.
+    script = (
+        "import sys, balsum.cli\n"
+        "balsum.cli.main(sys.argv[1:])\n"
+        "sys.stderr.write(' '.join(name for name in sys.modules if name.split('.')[0] == 'balsum'))"
+    )
+    argv = ["sum", "--m", "2", "--power", "5", "--upto", "30", *oracle]
+    run = subprocess.run([sys.executable, "-c", script, *argv], env=_env_with_src(), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert set(run.stderr.split()) == loaded_balsum

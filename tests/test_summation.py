@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences, summation
-from balsum.arith import QuadElem
+from balsum.arith import InexactResultError, QuadElem
 from balsum.linearize import LinearForm, linearize
 from balsum.sequences import balancing, balancing_pair, lucas_balancing
 from balsum.summation import (
@@ -114,15 +114,56 @@ def test_power_sum_spot_values():
 
 
 def test_power_sum_against_brute_force():
-    for m in range(1, 4):
-        for l in range(1, 5):
-            for n in range(11):
-                assert power_sum(m, l, n) == brute_force_power_sum(m, l, n)
+    # The Binet sum, the closed-sum record's evaluator and the oracle are three
+    # independent routes; they must agree on every case of the grid.
+    for m in range(1, 7):
+        for l in range(1, 17):
+            expr = power_sum_formula(m, l)
+            for n in range(31):
+                assert power_sum(m, l, n) == expr.value_at(n) == brute_force_power_sum(m, l, n), (m, l, n)
 
 
 @pytest.mark.parametrize("m, l, n", [(1, 3, 2000), (3, 10, 1000), (12, 24, 100)])
 def test_power_sum_against_brute_force_at_large_index(m, l, n):
     assert power_sum(m, l, n) == brute_force_power_sum(m, l, n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 500))
+def test_binet_sum_matches_the_record(m, l, n):
+    assert power_sum(m, l, n) == power_sum_formula(m, l).value_at(n)
+
+
+def test_power_sum_is_the_binet_sum_everywhere():
+    import balsum
+
+    assert balsum.power_sum is summation.power_sum is sequences.power_sum
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((0, 0, -1), "index must be non-negative"), ((0, 0, 5), "m must be positive")],
+)
+def test_power_sum_checks_index_then_m_then_l(args, name):
+    # The bad l of both cases is never reached; test_arith pins its message.
+    with pytest.raises(ValueError, match=f"^{name}, got"):
+        power_sum(*args)
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_power_sum_raises_on_a_remainder(monkeypatch, part):
+    # B(10) one too large leaves a remainder in the last division by 2**2, and
+    # C(10) one too large a remainder in the division by the norm of ALPHA - 1.
+    real = sequences.balancing_pair
+
+    def off_by_one(k):
+        pair = list(real(k))
+        pair[part] += k == 10
+        return tuple(pair)
+
+    monkeypatch.setattr(sequences, "balancing_pair", off_by_one)
+    with pytest.raises(InexactResultError, match="^the power sum for m=1, l=1 at n=9 is not an integer"):
+        power_sum(1, 1, 9)
 
 
 def test_brute_force_does_not_use_the_evaluator(monkeypatch):
