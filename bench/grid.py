@@ -71,9 +71,10 @@ from balsum.sequences import (
     balancing_fast,
     balancing_pair,
     decimal_table,
+    power_sum,
     sequence_table,
 )
-from balsum.summation import brute_force_power_sum, power_sum, power_sum_formula
+from balsum.summation import brute_force_power_sum, power_sum_formula
 
 T = TypeVar("T")
 

@@ -29,6 +29,7 @@ _EXPORTS = {
         "lucas_balancing",
         "lucas_balancing_binet",
         "lucas_balancing_fast",
+        "power_sum",
         "sequence_table",
     ),
     "summation": (
@@ -37,7 +38,6 @@ _EXPORTS = {
         "brute_force_power_sum",
         "closed_sum",
         "gf_params",
-        "power_sum",
         "power_sum_formula",
         "shifted_closed_sum",
         "subsequence_gf_check",

@@ -8,9 +8,9 @@ the rest of the library relies on for value equality and serialization.
 What this module adds is :class:`QuadElem`, an exact element a + b*sqrt(2)
 with rational coordinates.  It keeps them as one integer triple (p, q, d)
 meaning (p + q*sqrt 2)/d, with d > 0 and gcd(d, p, q) == 1: a product costs
-one :func:`_pair_product` and one gcd, a sum over equal denominators no cross
-products, and an integral value (d == 1) no big-integer gcd at all, where a
-pair of Fractions would reduce every intermediate.  The constants
+one :func:`_pair_product` and one gcd, and an integral value (d == 1) no
+big-integer gcd at all, where a pair of Fractions would reduce every
+intermediate.  The constants
 ALPHA = 3 + 2*sqrt(2) and BETA = 3 - 2*sqrt(2) are the two roots of
 x**2 - 6*x + 1; their powers drive every closed form in this package, and
 ALPHA*BETA = 1 makes negative powers of one expressible through the other.
@@ -44,8 +44,9 @@ class InexactResultError(ArithmeticError):
 
 def _check_at_least(name: str, value: object, low: int | None) -> int:
     """``value`` if its type is exactly int (a bool is not) and, unless ``low``
-    is None, value >= low; otherwise ValueError naming it.  The one check of
-    every integer the library reads: arguments, indices and record fields."""
+    is None, value >= low; otherwise ValueError, ``<name> must be an integer, got
+    <repr>`` or ``<name> must be non-negative|positive|at least <low>, got <value>``.
+    The one check of every integer the library reads: arguments, indices and record fields."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {_repr(value)}")
     if low is not None and value < low:
@@ -54,12 +55,17 @@ def _check_at_least(name: str, value: object, low: int | None) -> int:
     return value
 
 
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer; InexactResultError naming ``what`` otherwise."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InexactResultError(f"{what} is not an integer: {_text(Fraction(num, den))}")
+    return quotient
+
+
 def as_integer(value: Fraction | int, what: str = "result") -> int:
     """Strip a denominator that must be 1; hard error otherwise."""
-    q = Fraction(value)
-    if q.denominator != 1:
-        raise InexactResultError(f"{what} is not an integer: {_text(q)}")
-    return q.numerator
+    return _exact(*Fraction(value).as_integer_ratio(), what)
 
 
 @cache
@@ -130,9 +136,6 @@ class QuadElem:
     __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, a: RatLike, b: RatLike = 0) -> None:
-        if type(a) is int and type(b) is int:
-            self._p, self._q, self._d = a, b, 1
-            return
         a, b = Fraction(a), Fraction(b)
         # The lcm of two reduced denominators shares no prime with both
         # scaled numerators, so the triple is already canonical.
@@ -157,8 +160,6 @@ class QuadElem:
             return NotImplemented
         p2, q2, d2 = o
         d1 = self._d
-        if d1 == d2:
-            return _reduced(self._p + p2, self._q + q2, d1)
         return _reduced(self._p * d2 + p2 * d1, self._q * d2 + q2 * d1, d1 * d2)
 
     __radd__ = __add__

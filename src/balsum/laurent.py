@@ -31,9 +31,9 @@ class LaurentPoly:
     no factor with every p and q; zero is the empty map over 1.  So each
     polynomial has one form, and equality and the zero test read it.
 
-    A dict {exponent: coefficient} builds one: every exponent, a zero
-    coefficient's too, must be an int; coefficients live in Q(sqrt 2), and
-    ints and Fractions coerce.  Every polynomial is built by :func:`_canonical`.
+    A dict {exponent: coefficient} builds one, each exponent an int (under a zero
+    coefficient too, as in :meth:`coefficient`); ints and Fractions coerce to
+    Q(sqrt 2).  Every polynomial is built by :func:`_canonical`.
 
     The map is laid out densely only inside a product or a power.  A product
     is made by Kronecker substitution (Harvey 2009, J. Symbolic Comput. 44):

@@ -63,7 +63,8 @@ class _AffineForm:
     :class:`~balsum.summation.ClosedSumExpr`: constant + linear_coeff*(n+1) +
     sum of coeff * B(stride*n + offset) over ``bterms``, evaluated by
     :func:`_affine_value` and rendered as text.  Each form mixes it into a
-    named tuple of its own fields."""
+    named tuple of its own fields, so a form unpacks, indexes and compares
+    equal to a plain tuple of them; records of two types never compare equal."""
 
     __slots__ = ()
     power: int
@@ -163,6 +164,9 @@ class LinearForm(_AffineForm, _LinearFormFields):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> LinearForm:
+        """What :meth:`to_json_dict` writes, its terms made canonical by :func:`_merge`.  A key
+        or ``power`` failing :func:`arith._check_at_least` (named like ``LinearForm term shift``),
+        or a number neither a string nor an int, raises ValueError; a missing field KeyError."""
         pairs = [((t["multiplier"], t["shift"]), _rational(t["coeff"])) for t in data["terms"]]
         power = _check_at_least(f"{cls.__name__} power", data["power"], 1)
         return cls(power, _rational(data["constant"]), _merge(cls, pairs))

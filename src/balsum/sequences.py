@@ -18,12 +18,11 @@ implemented independently of the doubling, so each is a test oracle for it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import comb
 from typing import Iterator
 
-from .arith import _alpha_power, _check_at_least, _exact_context, _power, as_integer
+from .arith import _alpha_power, _check_at_least, _exact, _exact_context, _power
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -75,12 +74,6 @@ def lucas_balancing(n: int) -> int:
     """C(n), the companion sequence 1, 3, 17, 99, ..., read off
     :func:`balancing_pair`."""
     return balancing_pair(n)[1]
-
-
-def _exact(num: int, den: int, what: str) -> int:
-    """num / den, which must be an integer; InexactResultError otherwise."""
-    quotient, remainder = divmod(num, den)
-    return as_integer(Fraction(num, den), what) if remainder else quotient
 
 
 def power_sum(m: int, l: int, n: int) -> int:
@@ -142,11 +135,11 @@ def balancing_binet(n: int) -> int:
 
     ALPHA**n = a + b*sqrt(2) with b = 2*B(n), because the conjugate power
     BETA**n contributes -b*sqrt(2) and the difference of the two powers is
-    4*sqrt(2)*B(n); (a, b) is the integer pair of :func:`arith._alpha_power`.
+    4*sqrt(2)*B(n); (a, b) is :func:`arith._alpha_power`, and an odd b raises InexactResultError.
     Test oracle for :func:`balancing_pair`; also ``balsum gen --method binet``.
     """
     _check_index(n)
-    return as_integer(Fraction(_alpha_power(n)[1], 2), f"half the sqrt(2) part of ALPHA**{n}")
+    return _exact(_alpha_power(n)[1], 2, f"half the sqrt(2) part of ALPHA**{n}")
 
 
 def lucas_balancing_binet(n: int) -> int:

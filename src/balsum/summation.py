@@ -7,8 +7,8 @@ The backbone is the generating function of the subsequence B(k*m):
 whose partial sums telescope.  :func:`_summed`, the one derivation, sums a
 linear form F into the :class:`ClosedSumExpr` of sum_{0<=k<=n} F(k*m): of
 B(x)**l in :func:`power_sum_formula`, of B(x + r) in :func:`shifted_closed_sum`
-and :func:`closed_sum`, which evaluate it.  :func:`power_sum` is the Binet sum
-of :mod:`balsum.sequences`, with no record, so it and the record check each other.
+and :func:`closed_sum`, which evaluate it.  ``sequences.power_sum``, the Binet sum,
+builds no record, so it and the record check each other.
 
 :class:`ClosedSumExpr` shares the exact evaluator, integrality check and text
 renderer of :class:`~balsum.linearize.LinearForm`; it adds the coefficient of
@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .arith import _check_at_least, _rational, _record_repr, _text
 from .linearize import BTerm, LinearForm, TermKey, _AffineForm, _merge, linearize
-from .sequences import _recurrence, balancing, balancing_pair, power_sum  # noqa: F401  (a public name here)
+from .sequences import _recurrence, balancing, balancing_pair
 
 
 class GFParams(NamedTuple):
@@ -119,6 +119,7 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ClosedSumExpr:
+        """What :meth:`to_json_dict` writes, by the rules of :meth:`LinearForm.from_json_dict`."""
         pairs = [((t["stride"], t["offset"]), _rational(t["coeff"])) for t in data["bterms"]]
         m, power = (_check_at_least(f"{cls.__name__} {k}", data[k], 1) for k in ("m", "power"))
         linear_coeff, constant = _rational(data["linear_coeff"]), _rational(data["constant"])

@@ -22,11 +22,11 @@ from balsum.sequences import (
     balancing_fast,
     gf_coefficients,
     lucas_balancing,
+    power_sum,
 )
 from balsum.summation import (
     brute_force_power_sum,
     closed_sum,
-    power_sum,
     subsequence_gf_check,
 )
 

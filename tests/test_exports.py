@@ -32,6 +32,7 @@ HOMES = {
         "lucas_balancing",
         "lucas_balancing_binet",
         "lucas_balancing_fast",
+        "power_sum",
         "sequence_table",
     ),
     "summation": (
@@ -40,7 +41,6 @@ HOMES = {
         "brute_force_power_sum",
         "closed_sum",
         "gf_params",
-        "power_sum",
         "power_sum_formula",
         "shifted_closed_sum",
         "subsequence_gf_check",
@@ -61,6 +61,7 @@ FIRST_STATEMENT = {
     "linearize_after_submodule": "import balsum.linearize",
     "linearize_after_from_submodule": "from balsum.linearize import LinearForm",
     "linearize_swapped": "import balsum",
+    "power_sum_alone": "import balsum",
 }
 
 
@@ -99,6 +100,11 @@ def check(case):
         assert balsum.linearize is swapped
         setattr(balsum, "linearize", sys.modules["balsum.linearize"].linearize)
         assert balsum.linearize is sys.modules["balsum.linearize"].linearize
+    elif case == "power_sum_alone":
+        # The Binet sum loads its home and arith, and no form code.
+        assert balsum.power_sum(2, 3, 10) == sum(balsum.balancing(2 * k) ** 3 for k in range(11))
+        loaded = {name for name in sys.modules if name.startswith("balsum.")}
+        assert loaded == {"balsum.arith", "balsum.sequences"}, loaded
     elif case == "unknown_name":
         try:
             balsum.no_such_name

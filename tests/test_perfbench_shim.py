@@ -59,6 +59,7 @@ def run_shim(tmp_path, mode, argv):
     [
         (["verify", "--odd-max-l", "3", "--even-max-l", "2", "--lemma-max-m", "4"], "laurent"),
         (["sum", "--m", "2", "--power", "3", "--upto", "5", "--oracle"], "summation"),
+        (["linearize", "--power", "5"], "linearize"),
     ],
 )
 def test_proofs_and_sums_run_under_both_modes(tmp_path, argv, layer):

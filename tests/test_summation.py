@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from balsum import sequences, summation
 from balsum.arith import InexactResultError, QuadElem
 from balsum.linearize import LinearForm, linearize
-from balsum.sequences import balancing, balancing_pair, lucas_balancing
+from balsum.sequences import balancing, balancing_pair, lucas_balancing, power_sum
 from balsum.summation import (
     ClosedSumExpr,
     GFParams,
     brute_force_power_sum,
     closed_sum,
     gf_params,
-    power_sum,
     power_sum_formula,
     shifted_closed_sum,
     subsequence_gf_check,
@@ -137,7 +136,7 @@ def test_binet_sum_matches_the_record(m, l, n):
 def test_power_sum_is_the_binet_sum_everywhere():
     import balsum
 
-    assert balsum.power_sum is summation.power_sum is sequences.power_sum
+    assert balsum.power_sum is sequences.power_sum
 
 
 @pytest.mark.parametrize(
