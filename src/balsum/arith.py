@@ -63,11 +63,6 @@ def _exact(num: int, den: int, what: str) -> int:
     return quotient
 
 
-def as_integer(value: Fraction | int, what: str = "result") -> int:
-    """Strip a denominator that must be 1; hard error otherwise."""
-    return _exact(*Fraction(value).as_integer_ratio(), what)
-
-
 @cache
 def _exact_context() -> decimal.Context:
     """Built once and shared; no caller sets it or reads its flags: the largest precision and
@@ -165,20 +160,17 @@ class QuadElem:
     __radd__ = __add__
 
     def __sub__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = _triple(other)
-        if o is None:
+        if _triple(other) is None:
             return NotImplemented
-        p2, q2, d2 = o
-        return self + _canonical(-p2, -q2, d2)
+        return self + -other
 
     def __rsub__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = _triple(other)
-        if o is None:
+        if _triple(other) is None:
             return NotImplemented
-        return _canonical(*o) + -self
+        return -self + other
 
     def __neg__(self) -> QuadElem:
-        return _canonical(-self._p, -self._q, self._d)
+        return _reduced(-self._p, -self._q, self._d)
 
     def __mul__(self, other: QuadElem | RatLike) -> QuadElem:
         o = _triple(other)
@@ -214,7 +206,7 @@ class QuadElem:
 
     def conj(self) -> QuadElem:
         """The sqrt(2)-conjugate a - b*sqrt(2)."""
-        return _canonical(self._p, -self._q, self._d)
+        return _reduced(self._p, -self._q, self._d)
 
     def inverse(self) -> QuadElem:
         """Multiplicative inverse; exists exactly when the element is nonzero.
@@ -259,13 +251,10 @@ def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul
 def _pair_product(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """(x1 + y1*sqrt 2)*(x2 + y2*sqrt 2) as an integer pair: the one product in Z[sqrt 2],
     of QuadElem numerators, ALPHA powers and packed Laurent polynomials.  A square
-    (``u is v``) takes x*x, y*y and x*y; four nonzero parts take x1*x2, y1*y2 and
-    (x1 + y1)*(x2 + y2); a zero part leaves the schoolbook products that do not vanish."""
+    (``u is v``) takes x*x, y*y and x*y; any other pair x1*x2, y1*y2 and (x1 + y1)*(x2 + y2)."""
     (x1, y1), (x2, y2) = u, v
     if u is v:
         return x1 * x1 + 2 * y1 * y1, 2 * x1 * y1
-    if not (x1 and y1 and x2 and y2):
-        return x1 * x2 + 2 * y1 * y2, x1 * y2 + y1 * x2
     xx, yy = x1 * x2, y1 * y2
     return xx + 2 * yy, (x1 + y1) * (x2 + y2) - xx - yy
 
@@ -278,24 +267,17 @@ def _alpha_power(o: int) -> tuple[int, int]:
     return (x, y) if o >= 0 else (x, -y)
 
 
-def _canonical(p: int, q: int, d: int) -> QuadElem:
-    """The element (p + q*sqrt 2)/d from a triple already in canonical form."""
-    x = object.__new__(QuadElem)
-    x._p, x._q, x._d = p, q, d
-    return x
-
-
 def _reduced(p: int, q: int, d: int) -> QuadElem:
-    """The element (p + q*sqrt 2)/d, d > 0, divided through by gcd(d, p, q).
-
-    d goes first because math.gcd skips the remaining arguments once its
-    running gcd is 1, so integral values such as the powers of ALPHA pay no
-    big-integer gcd.
-    """
+    """The element (p + q*sqrt 2)/d, d > 0, divided through by gcd(d, p, q): every
+    :class:`QuadElem` operation builds its result here.  d goes first because math.gcd
+    skips the remaining arguments once its running gcd is 1, so integral values such as
+    the powers of ALPHA pay no big-integer gcd."""
     g = gcd(d, p, q)
     if g != 1:
         p, q, d = p // g, q // g, d // g
-    return _canonical(p, q, d)
+    x = object.__new__(QuadElem)
+    x._p, x._q, x._d = p, q, d
+    return x
 
 
 def _triple(value: QuadElem | RatLike) -> tuple[int, int, int] | None:

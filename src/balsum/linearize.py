@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import RatLike, _check_at_least, _rational, _record_repr, _text, as_integer
+from .arith import RatLike, _check_at_least, _exact, _rational, _record_repr, _text
 from .sequences import balancing_pair
 
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
@@ -85,7 +85,7 @@ class _AffineForm:
     def value_at(self, n: int) -> int:
         """Evaluate at n; the result must be an integer."""
         what = f"{type(self).__name__} for power {self.power} at n={n}"
-        return as_integer(self.exact_value_at(n), what)
+        return _exact(*self.exact_value_at(n).as_integer_ratio(), what)
 
     @staticmethod
     def _label(stride: int, offset: int) -> str:

@@ -19,10 +19,10 @@ from balsum.arith import (
     InexactResultError,
     QuadElem,
     SQRT2,
+    _exact,
     _power,
     _rational,
     _text,
-    as_integer,
 )
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -293,6 +293,12 @@ class TestCanonicalForm:
         assert ALPHA != "3 + 2*sqrt2"
         with pytest.raises(TypeError):
             ALPHA + 1.5
+        with pytest.raises(TypeError):
+            ALPHA - 1.5
+        with pytest.raises(TypeError):
+            1.5 - ALPHA
+        with pytest.raises(TypeError):
+            ALPHA * 1.5
 
 
 class TestHash:
@@ -310,15 +316,15 @@ class TestHash:
 
 
 class TestIntegerHelpers:
-    def test_as_integer(self):
-        assert as_integer(Fraction(12, 4)) == 3
+    def test_exact(self):
+        assert _exact(12, 4, "result") == 3
         with pytest.raises(InexactResultError):
-            as_integer(Fraction(1, 2))
+            _exact(1, 2, "result")
 
-    def test_as_integer_error_over_digit_limit(self, default_digit_limit):
+    def test_exact_error_over_digit_limit(self, default_digit_limit):
         # The message holds a 5,001-digit numerator.
         with pytest.raises(InexactResultError, match=r"is not an integer: 10{4999}1/2$"):
-            as_integer(Fraction(10**5000 + 1, 2))
+            _exact(10**5000 + 1, 2, "result")
 
 
 # Numbers on both sides of the 4,300-digit default int/str limit, by name:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from balsum.arith import InexactResultError
 from balsum.linearize import LinearForm, _affine_value, linearize, linearize_even, linearize_odd
 from balsum.sequences import balancing, balancing_pair, sequence_table
+from balsum.summation import power_sum_formula
 
 
 def test_odd_l0_is_identity():
@@ -110,8 +111,13 @@ def test_negative_index_rejected():
 def test_inexact_evaluation_is_hard_error():
     form = linearize(2)
     broken = LinearForm(form.power, form.constant + Fraction(1, 7), form.terms)
-    with pytest.raises(InexactResultError):
+    with pytest.raises(InexactResultError, match="^LinearForm for power 2 at n=1 is not an integer: 8/7$"):
         broken.value_at(1)
+    expr = power_sum_formula(2, 3)
+    broken_sum = expr._replace(constant=expr.constant + Fraction(1, 3))
+    message = "^ClosedSumExpr for power 3 at n=4 is not an integer: 39141752092554529/3$"
+    with pytest.raises(InexactResultError, match=message):
+        broken_sum.value_at(4)
 
 
 def test_render():
