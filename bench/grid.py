@@ -5,13 +5,14 @@
 It times B(n) for n = 10**3 .. 10**6 by each generator (the doubling pair,
 the matrix power and Binet), and ALPHA**n at the same n, checking it against
 C(n) + 2*B(n)*sqrt 2 from the doubling pair, and power_sum, the Binet sum,
-against brute_force_power_sum at l*m*n = 10**4, 3*10**4 and 10**5, flagging
-each row where power_sum beats brute force, and beside them the record:
-the derivation power_sum_formula(m, l) alone, and that derivation plus one
-evaluation at n, the route power_sum took before it summed the Binet
-formula; all three values are checked equal.  It times the QuadElem multiply on
-small rationals (a batch of products) and on operands the size of
-ALPHA**(10**5), the public LaurentPoly product P * (P + X) at
+at l*m*n = 10**4, 3*10**4 and 10**5 against the record: the derivation
+power_sum_formula(m, l) alone, and that derivation plus one evaluation at n,
+the route power_sum took before it summed the Binet formula.  Where n*l is at
+most 10**4, brute force is cheap enough to time, and a row also times
+brute_force_power_sum and flags whether power_sum beats it; elsewhere both
+entries are null.  Every value a row computes is checked equal.  It times
+the QuadElem multiply on small rationals (a batch of products) and on
+operands the size of ALPHA**(10**5), the public LaurentPoly product P * (P + X) at
 P = (X - 1/X)**200, checked against P**2 + P*X with the square by the power,
 and each Laurent verifier at one bound (odd l = 30, even l = 20, the
 subsequence lemma at m = 200, and the closed power sums for every m <= 6,
@@ -87,6 +88,9 @@ INDICES = (10**3, 10**4, 10**5, 10**6)
 # (m, l) pairs; n is chosen so that l*m*n is each of SIZES.
 SHAPES = ((1, 1), (1, 3), (1, 10), (3, 10), (5, 20), (12, 24))
 SIZES = (10**4, 3 * 10**4, 10**5)
+# Brute force is timed only where n*l is at most this: above it, a few rows
+# such as (1, 3, 33333) would take most of the grid's run.
+BRUTE_FORCE_MAX_NL = 10**4
 # Products per timed batch of small-rational QuadElem multiplies.
 SMALL_MULS = 10_000
 # P = (X - 1/X)**LAURENT_POWER in the laurent_mul row.
@@ -258,14 +262,18 @@ def main() -> None:
             formula_ms, _ = timed(lambda: power_sum_formula(m, l))
             record_ms, by_record = timed(lambda: power_sum_formula(m, l).value_at(n))
             closed_ms, closed = timed(lambda: power_sum(m, l, n))
-            brute_ms, brute = timed(lambda: brute_force_power_sum(m, l, n))
-            if not closed == by_record == brute:
-                raise SystemExit(f"power_sum({m}, {l}, {n}), its record and brute force disagree")
+            if closed != by_record:
+                raise SystemExit(f"power_sum({m}, {l}, {n}) disagrees with its record")
+            brute = {"brute_force_ms": None, "beats_brute_force": None}
+            if n * l <= BRUTE_FORCE_MAX_NL:
+                brute_ms, by_brute = timed(lambda: brute_force_power_sum(m, l, n))
+                if by_brute != closed:
+                    raise SystemExit(f"power_sum({m}, {l}, {n}) disagrees with brute force")
+                brute = {"brute_force_ms": round(brute_ms, 3), "beats_brute_force": closed_ms < brute_ms}
             sums.append(
                 {"m": m, "l": l, "n": n, "lmn": l * m * n,
                  "formula_ms": round(formula_ms, 3), "record_ms": round(record_ms, 3),
-                 "power_sum_ms": round(closed_ms, 3), "brute_force_ms": round(brute_ms, 3),
-                 "beats_brute_force": closed_ms < brute_ms}
+                 "power_sum_ms": round(closed_ms, 3), **brute}
             )
     verifiers = {}
     for name, verify in VERIFIERS.items():

@@ -72,11 +72,6 @@ class _AffineForm:
     linear_coeff: RatLike
     bterms: tuple[BTerm, ...]
     __repr__ = _record_repr
-    # Set by each form for :func:`_merge`: the names of a key's two parts, the
-    # order of the keys, and the term made of a key and its coefficient.
-    _key_names: tuple[str, str]
-    _order: Callable[[TermKey], tuple[int, int]]
-    _term: Callable[[TermKey, Fraction], tuple]
 
     def exact_value_at(self, n: int) -> Fraction:
         """Evaluate at n without the integrality check."""
@@ -136,9 +131,6 @@ class LinearForm(_AffineForm, _LinearFormFields):
 
     __slots__ = ()
     linear_coeff = 0
-    _key_names = ("multiplier", "shift")
-    _order = staticmethod(lambda key: (-key[0], key[1]))
-    _term = staticmethod(lambda key, coeff: (key, coeff))
 
     @property
     def bterms(self) -> tuple[BTerm, ...]:
@@ -169,20 +161,25 @@ class LinearForm(_AffineForm, _LinearFormFields):
         or a number neither a string nor an int, raises ValueError; a missing field KeyError."""
         pairs = [((t["multiplier"], t["shift"]), _rational(t["coeff"])) for t in data["terms"]]
         power = _check_at_least(f"{cls.__name__} power", data["power"], 1)
-        return cls(power, _rational(data["constant"]), _merge(cls, pairs))
+        constant = _rational(data["constant"])
+        for key, _ in pairs:
+            for name, part in zip(("multiplier", "shift"), key):
+                _check_at_least(f"{cls.__name__} term {name}", part, None)
+        return cls(power, constant, _linear_terms(pairs))
 
 
-def _merge(form: type[_AffineForm], pairs: Iterable[tuple[TermKey, Fraction]]) -> tuple[tuple, ...]:
-    """The canonical terms of a ``form`` record, derived or read: keys of two
-    ints (each through :func:`_check_at_least`), the coefficients of equal
-    keys summed, zero sums dropped, sorted by ``form._order``."""
+def _merge(pairs: Iterable[tuple[TermKey, Fraction]], order: Callable[[TermKey], tuple]) -> list:
+    """The canonical (key, coeff) pairs of a record's terms: the coefficients
+    of equal keys summed, zero sums dropped, the keys sorted by ``order``."""
     merged: dict[TermKey, Fraction] = {}
     for key, coeff in pairs:
-        for name, part in zip(form._key_names, key):
-            _check_at_least(f"{form.__name__} term {name}", part, None)
         merged[key] = merged[key] + coeff if key in merged else coeff
-    keys = sorted((key for key, coeff in merged.items() if coeff), key=form._order)
-    return tuple(form._term(key, merged[key]) for key in keys)
+    return sorted((item for item in merged.items() if item[1]), key=lambda item: order(item[0]))
+
+
+def _linear_terms(pairs: Iterable[tuple[TermKey, Fraction]]) -> tuple:
+    """The terms of a :class:`LinearForm`, in its order."""
+    return tuple(_merge(pairs, lambda key: (-key[0], key[1])))
 
 
 def _power_form(power: int) -> LinearForm:
@@ -205,7 +202,7 @@ def _power_form(power: int) -> LinearForm:
             pairs.append(((j, 1), Fraction(2 * top, denom * b_j)))
             pairs.append(((j, 0), Fraction(-2 * top * c_j, denom * b_j)))
     constant = Fraction(0) if power % 2 else Fraction((-1) ** half * comb(power, half), denom)
-    return LinearForm(power, constant, _merge(LinearForm, pairs))
+    return LinearForm(power, constant, _linear_terms(pairs))
 
 
 def linearize_odd(l: int) -> LinearForm:

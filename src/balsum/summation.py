@@ -4,25 +4,23 @@ The backbone is the generating function of the subsequence B(k*m):
 
     sum_k B(k*m) z**k  =  B(m)*z / (1 - 2*C(m)*z + z**2)
 
-whose partial sums telescope.  :func:`_summed`, the one derivation, sums a
-linear form F into the :class:`ClosedSumExpr` of sum_{0<=k<=n} F(k*m): of
-B(x)**l in :func:`power_sum_formula`, of B(x + r) in :func:`shifted_closed_sum`
-and :func:`closed_sum`, which evaluate it.  ``sequences.power_sum``, the Binet sum,
-builds no record, so it and the record check each other.
-
-:class:`ClosedSumExpr` shares the exact evaluator, integrality check and text
-renderer of :class:`~balsum.linearize.LinearForm`; it adds the coefficient of
-(n+1) and keeps its own JSON schema.
+whose partial sums telescope.  :func:`_summed`, the one derivation, sums
+F = linear + a combination of B terms into the :class:`ClosedSumExpr` of
+sum_{0<=k<=n} F(k*m): the linear form of B(x)**l in :func:`power_sum_formula`,
+B(x + r) in :func:`shifted_closed_sum` and :func:`closed_sum`, which evaluate
+it.  ``sequences.power_sum``, the Binet sum, builds no record, so it and the
+record check each other.  :class:`ClosedSumExpr` shares the evaluator,
+integrality check and renderer of :class:`~balsum.linearize.LinearForm`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import _check_at_least, _rational, _record_repr, _text
-from .linearize import BTerm, LinearForm, TermKey, _AffineForm, _merge, linearize
+from .linearize import BTerm, TermKey, _AffineForm, _merge, linearize
 from .sequences import _recurrence, balancing, balancing_pair
 
 
@@ -64,12 +62,11 @@ def closed_sum(m: int, n: int) -> int:
 
 
 def shifted_closed_sum(m: int, r: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m + r): :func:`_summed` of the one-term form B(x + r)
+    """sum_{0<=k<=n} B(k*m + r): :func:`_summed` of the one term B(x + r)
     at n, pinned to direct summation over an (m, r, n) grid in the tests."""
     _check_at_least("m", m, 1)
     _check_at_least("r", r, 0)
-    term = LinearForm(1, Fraction(0), _merge(LinearForm, [((1, r), Fraction(1))]))
-    return _summed(m, term).value_at(n)
+    return _summed(m, 1, Fraction(0), [(Fraction(1), 1, r)]).value_at(n)
 
 
 def brute_force_power_sum(m: int, l: int, n: int) -> int:
@@ -101,9 +98,6 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
     """
 
     __slots__ = ()
-    _key_names = ("stride", "offset")
-    _order = staticmethod(lambda key: (-key[0], -key[1]))
-    _term = staticmethod(lambda key, coeff: (coeff, *key))
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,25 +117,32 @@ class ClosedSumExpr(_AffineForm, _ClosedSumFields):
         pairs = [((t["stride"], t["offset"]), _rational(t["coeff"])) for t in data["bterms"]]
         m, power = (_check_at_least(f"{cls.__name__} {k}", data[k], 1) for k in ("m", "power"))
         linear_coeff, constant = _rational(data["linear_coeff"]), _rational(data["constant"])
-        return cls(m, power, _merge(cls, pairs), linear_coeff, constant)
+        for key, _ in pairs:
+            for name, part in zip(("stride", "offset"), key):
+                _check_at_least(f"{cls.__name__} term {name}", part, None)
+        return cls(m, power, _closed_terms(pairs), linear_coeff, constant)
 
 
-def _summed(m: int, form: LinearForm) -> ClosedSumExpr:
-    """The closed form of sum_{0<=k<=n} F(k*m) of a linear form F: at x = k*m,
-    F's term coeff * B(stride*x + offset) is coeff * B(M*k + offset) with
-    M = stride*m (below 1 raises in :func:`gf_params`), and with
-    q = coeff/(gf_params(M).middle - 2) it telescopes to q*B(M*n + M + offset)
-    - q*B(M*n + offset) + q*(B(offset) - B(M + offset)) + coeff*B(offset).
-    F's constant becomes the coefficient of (n+1)."""
+def _closed_terms(pairs: Iterable[tuple[TermKey, Fraction]]) -> tuple[BTerm, ...]:
+    """The bterms of a :class:`ClosedSumExpr`, in its order."""
+    return tuple((coeff, *key) for key, coeff in _merge(pairs, lambda key: (-key[0], -key[1])))
+
+
+def _summed(m: int, power: int, linear: Fraction, bterms: Iterable[BTerm]) -> ClosedSumExpr:
+    """The :class:`ClosedSumExpr`, labelled ``power``, of sum_{0<=k<=n} F(k*m) with
+    F(x) = ``linear`` + sum of coeff * B(stride*x + offset) over ``bterms``.  With M = stride*m
+    (below 1 raises in :func:`gf_params`) and q = coeff/(gf_params(M).middle - 2), a term
+    telescopes to q*B(M*n + M + offset) - q*B(M*n + offset) + q*(B(offset) - B(M + offset))
+    + coeff*B(offset), and ``linear`` becomes the coefficient of (n+1)."""
     pairs: list[tuple[TermKey, Fraction]] = []
     constant = Fraction(0)
-    for coeff, stride, offset in form.bterms:
+    for coeff, stride, offset in bterms:
         step = stride * m
         q = coeff / (gf_params(step).middle - 2)
         b_offset = balancing(offset)
         pairs += [((step, step + offset), q), ((step, offset), -q)]
         constant += q * (b_offset - balancing(step + offset)) + coeff * b_offset
-    return ClosedSumExpr(m, form.power, _merge(ClosedSumExpr, pairs), form.constant, constant)
+    return ClosedSumExpr(m, power, _closed_terms(pairs), linear, constant)
 
 
 def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
@@ -149,4 +150,5 @@ def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
     of the linearization of B(x)**l."""
     _check_at_least("m", m, 1)
     _check_at_least("l", l, 1)
-    return _summed(m, linearize(l))
+    form = linearize(l)
+    return _summed(m, l, form.constant, form.bterms)

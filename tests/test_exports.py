@@ -7,6 +7,7 @@ surface can be checked on interpreters without pytest:
     PYTHONPATH=src python tests/test_exports.py
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -60,6 +61,7 @@ FIRST_STATEMENT = {
     "linearize_after_star": "from balsum import *",
     "linearize_after_submodule": "import balsum.linearize",
     "linearize_after_from_submodule": "from balsum.linearize import LinearForm",
+    "linearize_import_as": "import balsum.linearize as m",
     "linearize_swapped": "import balsum",
     "power_sum_alone": "import balsum",
 }
@@ -119,6 +121,11 @@ def check(case):
         if case == "linearize_after_star":
             assert namespace["linearize"] is function
             assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
+        if case == "linearize_import_as":
+            # `import a.b as m` binds the attribute b of a, so here the
+            # function; importlib.import_module gives the submodule.
+            assert namespace["m"] is function
+            assert importlib.import_module("balsum.linearize") is sys.modules["balsum.linearize"]
 
 
 def run_case(case):

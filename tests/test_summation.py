@@ -415,7 +415,8 @@ def test_readers_reject_keys_that_are_not_integers(field, value):
     else:
         term = {"coeff": "1", "stride": 1, "offset": 0, field: value}
         reader, doc = ClosedSumExpr, dict(power_sum_formula(1, 1).to_json_dict(), bterms=[term])
-    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+    message = f"{reader.__name__} term {field} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         reader.from_json_dict(doc)
 
 
