@@ -10,7 +10,10 @@ power_sum_formula(m, l) alone, and that derivation plus one evaluation at n,
 the route power_sum took before it summed the Binet formula.  Where n*l is at
 most 10**4, brute force is cheap enough to time, and a row also times
 brute_force_power_sum and flags whether power_sum beats it; elsewhere both
-entries are null.  Every value a row computes is checked equal.  It times
+entries are null.  The shifted_closed_sum row times sum_{k<=n} B(k*m + r) at
+two (m, r, n), and at r = 0 for the same m and n, checking S(n) - S(n-1) =
+B(m*n + r), and S = power_sum(m, 1, n) at r = 0.  Every value a row computes
+is checked equal.  It times
 the QuadElem multiply on small rationals (a batch of products) and on
 operands the size of ALPHA**(10**5), the public LaurentPoly product P * (P + X) at
 P = (X - 1/X)**200, checked against P**2 + P*X with the square by the power,
@@ -75,7 +78,7 @@ from balsum.sequences import (
     power_sum,
     sequence_table,
 )
-from balsum.summation import brute_force_power_sum, power_sum_formula
+from balsum.summation import brute_force_power_sum, power_sum_formula, shifted_closed_sum
 
 T = TypeVar("T")
 
@@ -88,6 +91,8 @@ INDICES = (10**3, 10**4, 10**5, 10**6)
 # (m, l) pairs; n is chosen so that l*m*n is each of SIZES.
 SHAPES = ((1, 1), (1, 3), (1, 10), (3, 10), (5, 20), (12, 24))
 SIZES = (10**4, 3 * 10**4, 10**5)
+# (m, r, n) of the shifted_closed_sum row; each also runs at r = 0.
+SHIFTED = ((12, 7, 10**4), (1, 3, 10**5))
 # Brute force is timed only where n*l is at most this: above it, a few rows
 # such as (1, 3, 33333) would take most of the grid's run.
 BRUTE_FORCE_MAX_NL = 10**4
@@ -275,6 +280,15 @@ def main() -> None:
                  "formula_ms": round(formula_ms, 3), "record_ms": round(record_ms, 3),
                  "power_sum_ms": round(closed_ms, 3), **brute}
             )
+    shifted = []
+    for m, r, n in SHIFTED:
+        for shift in (0, r):
+            shifted_ms, total = timed(lambda: shifted_closed_sum(m, shift, n))
+            if total - shifted_closed_sum(m, shift, n - 1) != balancing(m * n + shift):
+                raise SystemExit(f"shifted_closed_sum({m}, {shift}, {n}) does not telescope")
+            if shift == 0 and total != power_sum(m, 1, n):
+                raise SystemExit(f"shifted_closed_sum({m}, 0, {n}) disagrees with power_sum")
+            shifted.append({"m": m, "r": shift, "n": n, "ms": round(shifted_ms, 3)})
     verifiers = {}
     for name, verify in VERIFIERS.items():
         ms, proved = timed(verify)
@@ -288,6 +302,7 @@ def main() -> None:
         "B_by_generator": generators,
         "alpha_power": alpha_power_rows(),
         "power_sum_vs_brute_force": sums,
+        "shifted_closed_sum": shifted,
         "quad_mul": quad_mul_rows(),
         "laurent_mul": laurent_mul_row(),
         "verifiers": verifiers,

@@ -8,12 +8,13 @@ subsequence recurrence, and it satisfies the Pell relation
 C(n)**2 - 8*B(n)**2 = 1.
 
 The evaluator is :func:`balancing_pair`, which doubles the pair (B, C) in
-O(log n) multiplications; :func:`balancing`, :func:`lucas_balancing` and the
-Binet power sum :func:`power_sum` read it.  The O(n) recurrence builds whole
-tables, in ints (:func:`sequence_table`, the table oracle) and in exact
-decimal for output (:func:`decimal_table`).  The recurrence, an O(log n) 2x2
-matrix power and evaluation through powers of ALPHA = 3 + 2*sqrt(2) are
-implemented independently of the doubling, so each is a test oracle for it.
+O(log n) multiplications; :func:`balancing`, :func:`lucas_balancing` and
+:func:`_binet_sum`, the Binet sum of B(k*m + r)**l behind :func:`power_sum`
+and every closed sum, read it.  The O(n) recurrence builds whole tables, in
+ints (:func:`sequence_table`, the table oracle) and in exact decimal for
+output (:func:`decimal_table`).  The recurrence, an O(log n) 2x2 matrix power
+and evaluation through powers of ALPHA = 3 + 2*sqrt(2) are implemented
+independently of the doubling, so each is a test oracle for it.
 """
 
 from __future__ import annotations
@@ -76,25 +77,32 @@ def lucas_balancing(n: int) -> int:
     return balancing_pair(n)[1]
 
 
+def _binet_sum(m: int, l: int, n: int, r: int, what: str) -> int:
+    """sum_{0<=k<=n} B(k*m + r)**l, the one closed-sum evaluator, by B(x) = (ALPHA**x -
+    ALPHA**-x)/(4*sqrt 2): the sum is (4*sqrt 2)**-l * sum_s (-1)**s * C(l, s) * G(l - 2s),
+    where G(0) = n + 1 and G(j) = (Z - R)/(W - 1), with W = ALPHA**(m*j), R = ALPHA**(j*r)
+    (1 at r = 0) and Z = ALPHA**(j*(m*(n+1) + r)) each C + 2B*sqrt 2 of :func:`balancing_pair`.
+    G(-j) = conj G(j) pairs the terms s and l - s into twice the rational part of G(j) for
+    even l, twice its sqrt(2) part for odd l: that part of (Z - R)*(conj W - 1) over the
+    norm 2 - 2*C(m*j) of W - 1.  Both divisions, by each norm and last by 2**((5l - l%2)/2),
+    are exact or raise, naming ``what``.  The callers check m, l >= 1 and n, r >= 0."""
+    odd = l % 2
+    total = 0 if odd else (-1) ** (l // 2) * comb(l, l // 2) * (n + 1)
+    for s, j in enumerate(range(l, 0, -2)):
+        bw, cw = balancing_pair(m * j)
+        (bz, cz), (br, cr) = balancing_pair(j * (m * (n + 1) + r)), balancing_pair(j * r)
+        bz, cz = bz - br, cz - cr
+        part = 2 * (bz * (cw - 1) - bw * cz) if odd else cz * (cw - 1) - 8 * bz * bw
+        total += (-1) ** s * 2 * comb(l, s) * _exact(part, 2 - 2 * cw, what)
+    return _exact(total, 1 << (5 * l - odd) // 2, what)
+
+
 def power_sum(m: int, l: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m)**l by B(x) = (ALPHA**x - ALPHA**-x)/(4*sqrt 2): the sum is
-    (4*sqrt 2)**-l * sum_s (-1)**s * C(l, s) * G(l - 2s), where G(0) = n + 1 and G(j) =
-    (Z - 1)/(W - 1), with W = ALPHA**(m*j) and Z = W**(n+1) each C + 2B*sqrt 2 of
-    :func:`balancing_pair`.  G(-j) = conj G(j) pairs the terms s and l - s into twice the
-    rational part of G(j) for even l, twice its sqrt(2) part for odd l: that part of
-    (Z - 1)*(conj W - 1) over the norm 2 - 2*C(m*j) of W - 1.  Both divisions, by each
-    norm and last by 2**((5l - l%2)/2), are exact or raise.  It checks n, then m, then l."""
+    """sum_{0<=k<=n} B(k*m)**l: :func:`_binet_sum` at r = 0.  It checks n, then m, then l."""
     _check_at_least("index", n, 0)
     _check_at_least("m", m, 1)
     _check_at_least("l", l, 1)
-    odd, what = l % 2, f"the power sum for m={m}, l={l} at n={n}"
-    total = 0 if odd else (-1) ** (l // 2) * comb(l, l // 2) * (n + 1)
-    for s in range((l + 1) // 2):
-        bw, cw = balancing_pair(m * (l - 2 * s))
-        bz, cz = balancing_pair(m * (l - 2 * s) * (n + 1))
-        part = 2 * (bz * (cw - 1) - bw * (cz - 1)) if odd else (cz - 1) * (cw - 1) - 8 * bz * bw
-        total += (-1) ** s * 2 * comb(l, s) * _exact(part, 2 - 2 * cw, what)
-    return _exact(total, 1 << (5 * l - odd) // 2, what)
+    return _binet_sum(m, l, n, 0, f"the power sum for m={m}, l={l} at n={n}")
 
 
 def _mat_mul(x: Mat2, y: Mat2) -> Mat2:

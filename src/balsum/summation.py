@@ -6,11 +6,11 @@ The backbone is the generating function of the subsequence B(k*m):
 
 whose partial sums telescope.  :func:`_summed`, the one derivation, sums
 F = linear + a combination of B terms into the :class:`ClosedSumExpr` of
-sum_{0<=k<=n} F(k*m): the linear form of B(x)**l in :func:`power_sum_formula`,
-B(x + r) in :func:`shifted_closed_sum` and :func:`closed_sum`, which evaluate
-it.  ``sequences.power_sum``, the Binet sum, builds no record, so it and the
-record check each other.  :class:`ClosedSumExpr` shares the evaluator,
-integrality check and renderer of :class:`~balsum.linearize.LinearForm`.
+sum_{0<=k<=n} F(k*m): the linear form of B(x)**l in :func:`power_sum_formula`.
+:func:`shifted_closed_sum`, :func:`closed_sum` and ``sequences.power_sum`` build
+no record: they are ``sequences._binet_sum``, so the Binet sum and the record
+check each other.  :class:`ClosedSumExpr` shares the evaluator, integrality
+check and renderer of :class:`~balsum.linearize.LinearForm`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .arith import _check_at_least, _rational, _record_repr, _text
 from .linearize import BTerm, TermKey, _AffineForm, _merge, linearize
-from .sequences import _recurrence, balancing, balancing_pair
+from .sequences import _binet_sum, _recurrence, balancing, balancing_pair
 
 
 class GFParams(NamedTuple):
@@ -62,11 +62,12 @@ def closed_sum(m: int, n: int) -> int:
 
 
 def shifted_closed_sum(m: int, r: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m + r): :func:`_summed` of the one term B(x + r)
-    at n, pinned to direct summation over an (m, r, n) grid in the tests."""
+    """sum_{0<=k<=n} B(k*m + r): ``sequences._binet_sum`` at l = 1, pinned to direct
+    summation over an (m, r, n) grid in the tests.  It checks m, then r, then n."""
     _check_at_least("m", m, 1)
     _check_at_least("r", r, 0)
-    return _summed(m, 1, Fraction(0), [(Fraction(1), 1, r)]).value_at(n)
+    _check_at_least("index", n, 0)
+    return _binet_sum(m, 1, n, r, f"the shifted sum for m={m}, r={r} at n={n}")
 
 
 def brute_force_power_sum(m: int, l: int, n: int) -> int:

@@ -1,7 +1,7 @@
 import decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences
@@ -213,3 +213,32 @@ def test_decimal_walk_raises_instead_of_rounding(monkeypatch, seq):
     oracle = sequence_table(len(yielded), seq)
     assert yielded == [str(v) for v in oracle[:-1]]
     assert len(yielded[-1]) <= 30 < len(str(oracle[-1]))
+
+
+P61 = 2**61 - 1
+# The largest index m*n + r the modular walk below reaches.
+MOD_WALK_MAX_INDEX = 5_000
+
+
+def power_sum_mod_oracle(m, l, n, r, p):
+    """Test oracle: sum_{0<=k<=n} B(k*m + r)**l modulo p, by one walk of
+    x(k) = 6*x(k-1) - x(k-2) modulo p that adds pow(b, l, p) at every m-th
+    index from r.  Small-integer work only, sharing no code with the Binet sum."""
+    total, b, after = 0, 0, 1
+    for index in range(m * n + r + 1):
+        if index >= r and (index - r) % m == 0:
+            total = (total + pow(b, l, p)) % p
+        b, after = after, (6 * after - b) % p
+    return total
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 12), st.integers(1, 24), st.integers(0, 20), st.integers(0, MOD_WALK_MAX_INDEX))
+@example(12, 24, 0, MOD_WALK_MAX_INDEX)  # r = 0: power_sum
+@example(1, 1, 20, MOD_WALK_MAX_INDEX)  # l = 1: shifted_closed_sum
+@example(7, 1, 0, 300)  # both: closed_sum
+def test_binet_sum_against_a_walk_modulo_a_prime(m, l, r, n):
+    # At sizes brute force cannot reach: terms of up to about 90,000 digits.
+    n = min(n, (MOD_WALK_MAX_INDEX - r) // m)
+    total = sequences._binet_sum(m, l, n, r, "the sum under test")
+    assert total % P61 == power_sum_mod_oracle(m, l, n, r, P61)

@@ -92,12 +92,21 @@ def test_shifted_closed_sum_spot_values():
     assert shifted_closed_sum(1, 0, 0) == 0
 
 
-def test_shifted_closed_sum_against_brute_force():
+def test_shifted_closed_sum_against_brute_force(monkeypatch):
+    # Both closed sums are the Binet sum at l = 1: neither derives a
+    # ClosedSumExpr nor runs the record evaluator.
+    def refuse(*args):
+        raise AssertionError("a closed sum must not build or evaluate a record")
+
+    monkeypatch.setattr(summation, "_summed", refuse)
+    monkeypatch.setattr(importlib.import_module("balsum.linearize"), "_affine_value", refuse)
     for m in range(1, 6):
         for r in range(9):
             for n in range(21):
                 direct = sum(balancing(k * m + r) for k in range(n + 1))
                 assert shifted_closed_sum(m, r, n) == direct
+                if r == 0:
+                    assert closed_sum(m, n) == direct
 
 
 def test_brute_force_spot_values():
