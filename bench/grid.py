@@ -31,8 +31,9 @@ over a second.  No cache is involved: power_sum derives no formula, and
 every record call derives its formula afresh, so every call is cold.
 
 Two rows run out of process.  Start-up times fresh `python -m balsum`
-processes, one small request per subcommand and `--help`, against the floor
-`python -c "import fractions, argparse"`, nine of each, interleaved, run from
+processes, one small request per subcommand, `sum --oracle` and `--help`,
+against the floor `python -c "import argparse, decimal"`, what a `sum` request
+loads outside balsum, nine of each, interleaved, run from
 a copy of the package without `__pycache__` and with
 PYTHONDONTWRITEBYTECODE=1, so every module is compiled as in the benchmark.
 It reports the median of each in ms.  Teardown times the end of each
@@ -61,9 +62,11 @@ from time import perf_counter
 from typing import Callable, TypeVar
 
 import balsum
-from balsum.arith import ALPHA, QuadElem, _text
+from balsum.arith import _text
 from balsum.laurent import (
+    ALPHA,
     LaurentPoly,
+    QuadElem,
     verify_even_power_identity,
     verify_odd_power_identity,
     verify_power_sum_formula,
@@ -74,11 +77,12 @@ from balsum.sequences import (
     balancing_binet,
     balancing_fast,
     balancing_pair,
+    brute_force_power_sum,
     decimal_table,
     power_sum,
     sequence_table,
 )
-from balsum.summation import brute_force_power_sum, power_sum_formula, shifted_closed_sum
+from balsum.summation import power_sum_formula, shifted_closed_sum
 
 T = TypeVar("T")
 
@@ -107,10 +111,12 @@ STARTUP_COMMANDS = {
     "balsum_help": ["-m", "balsum", "--help"],
     "balsum_gen": ["-m", "balsum", "gen", "--upto", "10"],
     "balsum_sum": ["-m", "balsum", "sum", "--m", "2", "--power", "5", "--upto", "30"],
+    "balsum_sum_oracle": ["-m", "balsum", "sum", "--m", "2", "--power", "5", "--upto", "30", "--oracle"],
     "balsum_formula": ["-m", "balsum", "formula", "--m", "3", "--power", "8"],
     "balsum_linearize": ["-m", "balsum", "linearize", "--power", "8"],
     "balsum_verify": ["-m", "balsum", "verify", "--odd-max-l", "2"],
-    "floor": ["-c", "import fractions, argparse"],
+    # What a `sum` request loads outside balsum.
+    "floor": ["-c", "import argparse, decimal"],
 }
 # Runs `balsum` as `python -m balsum` does, then writes the time its main
 # returned as the last line of stderr.

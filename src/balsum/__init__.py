@@ -12,9 +12,14 @@ __version__ = "0.1.0"
 # module on first access (PEP 562), so `import balsum` loads no library module
 # and a caller pays only for what it uses.
 _EXPORTS = {
-    "arith": ("ALPHA", "BETA", "FOUR_SQRT2", "InexactResultError", "QuadElem", "SQRT2"),
+    "arith": ("InexactResultError",),
     "laurent": (
+        "ALPHA",
+        "BETA",
+        "FOUR_SQRT2",
         "LaurentPoly",
+        "QuadElem",
+        "SQRT2",
         "verify_even_power_identity",
         "verify_odd_power_identity",
         "verify_power_sum_formula",
@@ -25,6 +30,7 @@ _EXPORTS = {
         "balancing",
         "balancing_binet",
         "balancing_fast",
+        "brute_force_power_sum",
         "gf_coefficients",
         "lucas_balancing",
         "lucas_balancing_binet",
@@ -35,7 +41,6 @@ _EXPORTS = {
     "summation": (
         "ClosedSumExpr",
         "GFParams",
-        "brute_force_power_sum",
         "closed_sum",
         "gf_params",
         "power_sum_formula",

@@ -9,7 +9,7 @@ interpreter's int/str digit limit, and the limit is left as the caller set it.
 `sequences.decimal_table`; `sequence_table`, in ints, stays its oracle.
 Every library module, and `json`, loads inside the handlers that use it, so
 `--help` and a usage error compile no library code but this module, and `gen`
-and `sum` no form code, but for the brute-force oracle of `sum --oracle`.
+and `sum`, with or without `--oracle`, only `arith` and `sequences`.
 """
 
 from __future__ import annotations
@@ -92,14 +92,12 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     from .arith import _text
-    from .sequences import power_sum
+    from .sequences import brute_force_power_sum, power_sum
 
     # The one record of a request, in the order every format writes it.
     record: dict[str, object] = {"m": args.m, "power": args.power, "upto": args.upto}
     record["sum"] = _text(power_sum(args.m, args.power, args.upto))
     if args.oracle:
-        from .summation import brute_force_power_sum
-
         record["oracle"] = _text(brute_force_power_sum(args.m, args.power, args.upto))
         record["match"] = record["oracle"] == record["sum"]
     if args.format == "json":

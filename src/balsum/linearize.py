@@ -18,9 +18,10 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .arith import RatLike, _check_at_least, _exact, _rational, _record_repr, _text
+from .arith import _check_at_least, _exact, _rational, _record_repr, _text
 from .sequences import balancing_pair
 
+RatLike = int | Fraction
 # (index multiplier j, index shift s): the term's argument is j*(n+s).
 TermKey = tuple[int, int]
 # (coeff, stride, offset): the term coeff * B(stride*n + offset).

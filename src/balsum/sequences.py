@@ -12,9 +12,11 @@ O(log n) multiplications; :func:`balancing`, :func:`lucas_balancing` and
 :func:`_binet_sum`, the Binet sum of B(k*m + r)**l behind :func:`power_sum`
 and every closed sum, read it.  The O(n) recurrence builds whole tables, in
 ints (:func:`sequence_table`, the table oracle) and in exact decimal for
-output (:func:`decimal_table`).  The recurrence, an O(log n) 2x2 matrix power
-and evaluation through powers of ALPHA = 3 + 2*sqrt(2) are implemented
-independently of the doubling, so each is a test oracle for it.
+output (:func:`decimal_table`), and sums powers in :func:`brute_force_power_sum`,
+the power sum's oracle.  The recurrence, an O(log n) 2x2 matrix power and
+evaluation through powers of ALPHA = 3 + 2*sqrt(2) are implemented
+independently of the doubling, so each is a test oracle for it.  All of it is
+integer work: no Fraction, no ``QuadElem``.
 """
 
 from __future__ import annotations
@@ -172,6 +174,16 @@ def sequence_table(upto: int, seq: str = "B") -> list[int]:
     of :func:`decimal_table`."""
     _check_index(upto, seq)
     return list(islice(_recurrence(seq), upto + 1))
+
+
+def brute_force_power_sum(m: int, l: int, n: int) -> int:
+    """sum_{0<=k<=n} B(k*m)**l by direct exponentiation of every m-th value of one recurrence
+    walk: the test oracle of :func:`power_sum`, of every closed form and of ``sum --oracle``,
+    sharing no code with :func:`balancing_pair` or :func:`_binet_sum` behind them."""
+    _check_at_least("m", m, 1)
+    _check_at_least("l", l, 1)
+    _check_at_least("n", n, 0)
+    return sum(b**l for b in islice(_recurrence("B"), 0, m * n + 1, m))
 
 
 def decimal_table(upto: int, seq: str = "B") -> Iterator[str]:

@@ -70,16 +70,6 @@ def shifted_closed_sum(m: int, r: int, n: int) -> int:
     return _binet_sum(m, 1, n, r, f"the shifted sum for m={m}, r={r} at n={n}")
 
 
-def brute_force_power_sum(m: int, l: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m)**l by direct exponentiation, the test oracle of
-    every closed form in this module: every m-th value of one walk of the
-    recurrence, so it shares no code with the doubling evaluator behind them."""
-    _check_at_least("m", m, 1)
-    _check_at_least("l", l, 1)
-    _check_at_least("n", n, 0)
-    return sum(b**l for b in islice(_recurrence("B"), 0, m * n + 1, m))
-
-
 class _ClosedSumFields(NamedTuple):
     m: int
     power: int

@@ -20,12 +20,12 @@ from balsum.sequences import (
     balancing,
     balancing_binet,
     balancing_fast,
+    brute_force_power_sum,
     gf_coefficients,
     lucas_balancing,
     power_sum,
 )
 from balsum.summation import (
-    brute_force_power_sum,
     closed_sum,
     subsequence_gf_check,
 )

@@ -769,26 +769,31 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(argv, unloaded):
         assert {name for name in loaded if name.split(".")[0] == "balsum"} == {"balsum", "balsum.cli"}
 
 
-@pytest.mark.parametrize(
-    "oracle, loaded_balsum",
-    [
-        pytest.param([], {"balsum", "balsum.arith", "balsum.cli", "balsum.sequences"}, id="sum"),
-        pytest.param(
-            ["--oracle"],
-            {"balsum", "balsum.arith", "balsum.cli", "balsum.linearize", "balsum.sequences", "balsum.summation"},
-            id="sum-oracle",
-        ),
-    ],
-)
-def test_sum_loads_no_form_code_without_the_oracle(oracle, loaded_balsum):
-    # `sum` evaluates the Binet sum of `sequences`; only the brute-force oracle
-    # of `--oracle` lives beside the forms, in `summation`.
+# What an integer request, `sum` or `gen`, loads: the package, its front end,
+# the integer helpers and the sequences; no form code, QuadElem or Fraction.
+_INTEGER_LAYER = {"balsum", "balsum.arith", "balsum.cli", "balsum.sequences"}
+
+
+def _loaded_by(argv):
+    """The balsum modules, and `fractions` if loaded, after ``argv`` runs in a
+    fresh interpreter."""
     script = (
         "import sys, balsum.cli\n"
         "balsum.cli.main(sys.argv[1:])\n"
-        "sys.stderr.write(' '.join(name for name in sys.modules if name.split('.')[0] == 'balsum'))"
+        "sys.stderr.write(' '.join(name for name in sys.modules if name.split('.')[0] in ('balsum', 'fractions')))"
     )
-    argv = ["sum", "--m", "2", "--power", "5", "--upto", "30", *oracle]
     run = subprocess.run([sys.executable, "-c", script, *argv], env=_env_with_src(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert set(run.stderr.split()) == loaded_balsum
+    return set(run.stderr.split())
+
+
+@pytest.mark.parametrize("oracle", [pytest.param([], id="sum"), pytest.param(["--oracle"], id="sum-oracle")])
+def test_sum_loads_no_form_code_without_the_oracle(oracle):
+    # `sum` evaluates the Binet sum of `sequences`, and `--oracle` the
+    # brute-force walk beside it: neither loads the forms.
+    assert _loaded_by(["sum", "--m", "2", "--power", "5", "--upto", "30", *oracle]) == _INTEGER_LAYER
+
+
+@pytest.mark.parametrize("method", ["recurrence", "fast", "binet"])
+def test_gen_loads_only_the_integer_layer(method):
+    assert _loaded_by(["gen", "--upto", "30", "--method", method]) == _INTEGER_LAYER

@@ -6,9 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balsum import laurent, summation
-from balsum.arith import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem
 from balsum.laurent import (
+    ALPHA,
+    QUAD_ONE,
+    QUAD_ZERO,
     LaurentPoly,
+    QuadElem,
     encode,
     verify_even_power_identity,
     verify_odd_power_identity,

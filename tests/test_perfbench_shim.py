@@ -58,7 +58,7 @@ def run_shim(tmp_path, mode, argv):
     "argv, layer",
     [
         (["verify", "--odd-max-l", "3", "--even-max-l", "2", "--lemma-max-m", "4"], "laurent"),
-        (["sum", "--m", "2", "--power", "3", "--upto", "5", "--oracle"], "summation"),
+        (["sum", "--m", "2", "--power", "3", "--upto", "5", "--oracle"], "sequences"),
         (["linearize", "--power", "5"], "linearize"),
     ],
 )

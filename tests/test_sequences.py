@@ -5,12 +5,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences
-from balsum.arith import ALPHA, InexactResultError
+from balsum.arith import InexactResultError
+from balsum.laurent import ALPHA
 from balsum.sequences import (
     balancing,
     balancing_binet,
     balancing_fast,
     balancing_pair,
+    brute_force_power_sum,
     decimal_table,
     gf_coefficients,
     lucas_balancing,
@@ -46,6 +48,22 @@ def test_recurrence_holds_no_cache(fn):
     # A cache would keep every huge value ever asked for, without bound.
     assert not hasattr(fn, "cache_info")
     assert not hasattr(fn, "__wrapped__")
+
+
+def test_brute_force_shares_no_code_with_the_evaluators(monkeypatch):
+    # The oracle sits beside the doubling and the Binet sum that it checks,
+    # and must stay an independent route: with both refused, it still sums
+    # every m-th power of the sequence.
+    grid = [(m, l, n) for m in range(1, 5) for l in range(1, 6) for n in range(7)]
+    expected = {(m, l, n): sum(balancing(k * m) ** l for k in range(n + 1)) for m, l, n in grid}
+
+    def refuse(*args):
+        raise AssertionError("the oracle must not call the doubling or the Binet sum")
+
+    monkeypatch.setattr(sequences, "balancing_pair", refuse)
+    monkeypatch.setattr(sequences, "_binet_sum", refuse)
+    for m, l, n in grid:
+        assert brute_force_power_sum(m, l, n) == expected[m, l, n], (m, l, n)
 
 
 def test_pair_matches_recurrence_table():

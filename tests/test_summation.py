@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences, summation
-from balsum.arith import InexactResultError, QuadElem
+from balsum.arith import InexactResultError
+from balsum.laurent import QuadElem
 from balsum.linearize import LinearForm, linearize
-from balsum.sequences import balancing, balancing_pair, lucas_balancing, power_sum
+from balsum.sequences import balancing, balancing_pair, brute_force_power_sum, lucas_balancing, power_sum
 from balsum.summation import (
     ClosedSumExpr,
     GFParams,
-    brute_force_power_sum,
     closed_sum,
     gf_params,
     power_sum_formula,
@@ -174,15 +174,6 @@ def test_power_sum_raises_on_a_remainder(monkeypatch, part):
         power_sum(1, 1, 9)
 
 
-def test_brute_force_does_not_use_the_evaluator(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the oracle must not call the evaluator")
-
-    monkeypatch.setattr(summation, "balancing", refuse)
-    monkeypatch.setattr(importlib.import_module("balsum.linearize"), "_affine_value", refuse)
-    assert brute_force_power_sum(2, 3, 4) == sum(balancing(2 * k) ** 3 for k in range(5))
-
-
 def test_power_sum_telescoping():
     for m in (1, 2, 3):
         for l in (1, 2, 3, 4):
@@ -323,14 +314,6 @@ def test_formula_matches_brute_force_property(m, l, n):
 def test_formula_json_round_trip_property(m, l):
     expr = power_sum_formula(m, l)
     assert ClosedSumExpr.from_json_dict(expr.to_json_dict()) == expr
-
-
-def test_brute_force_does_not_call_the_doubling(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the oracle must not call the doubling evaluator")
-
-    monkeypatch.setattr(summation, "balancing_pair", refuse)
-    assert brute_force_power_sum(3, 2, 4) == sum(balancing(3 * k) ** 2 for k in range(5))
 
 
 def _json_with_bterms(expr, bterms, constant):
