@@ -36,13 +36,20 @@ against the floor `python -c "import argparse, decimal"`, what a `sum` request
 loads outside balsum, nine of each, interleaved, run from
 a copy of the package without `__pycache__` and with
 PYTHONDONTWRITEBYTECODE=1, so every module is compiled as in the benchmark.
-It reports the median of each in ms.  Teardown times the end of each
-process: in the same rounds, each `balsum` request of the start-up row
-runs once more, through `runpy` as `python -m` runs it, and writes
-perf_counter (CLOCK_MONOTONIC, one clock for every process) to stderr as the
-entry's `main` returns; the row is the median in ms from then to the exit
-grid.py sees, which covers atexit handlers, the final flushes and the
-interpreter's finalization.
+The `verify` request runs all three families, so it loads what a benchmark
+`verify` loads.  It reports the median wall time of each in ms and its peak
+RSS in MB, the largest ru_maxrss that os.wait4 gave over its runs.  A
+child's ru_maxrss also counts the memory of the process that spawned it (the
+kernel keeps the high-water mark across exec), so every process of both rows
+is spawned by a small helper interpreter, as perfbench/launcher.py spawns the
+benchmark's requests, and not by the grid.  The helper runs without `site`
+(python -S), which keeps it below the RSS of any process it spawns.
+Teardown times the end of each process: in the same rounds, each `balsum`
+request of the start-up row runs once more, through `runpy` as `python -m`
+runs it, and writes perf_counter (CLOCK_MONOTONIC, one clock for every
+process) to stderr as the entry's `main` returns; the row is the median in
+ms from then to the exit the helper sees, which covers atexit handlers, the
+final flushes and the interpreter's finalization.
 """
 
 from __future__ import annotations
@@ -63,10 +70,9 @@ from typing import Callable, TypeVar
 
 import balsum
 from balsum.arith import _text
+from balsum.field import ALPHA, QuadElem
 from balsum.laurent import (
-    ALPHA,
     LaurentPoly,
-    QuadElem,
     verify_even_power_identity,
     verify_odd_power_identity,
     verify_power_sum_formula,
@@ -114,10 +120,27 @@ STARTUP_COMMANDS = {
     "balsum_sum_oracle": ["-m", "balsum", "sum", "--m", "2", "--power", "5", "--upto", "30", "--oracle"],
     "balsum_formula": ["-m", "balsum", "formula", "--m", "3", "--power", "8"],
     "balsum_linearize": ["-m", "balsum", "linearize", "--power", "8"],
-    "balsum_verify": ["-m", "balsum", "verify", "--odd-max-l", "2"],
+    "balsum_verify": [
+        "-m", "balsum", "verify", "--odd-max-l", "2", "--even-max-l", "1", "--lemma-max-m", "3",
+    ],
     # What a `sum` request loads outside balsum.
     "floor": ["-c", "import argparse, decimal"],
 }
+# Reads one argument list (JSON) a line, runs `python` on it and replies with
+# [start, end, ru_maxrss in KB, exit code, stderr]: perf_counter at the spawn
+# and at the exit, which os.wait4 reaps.
+SPAWNER = (
+    "import json, os, sys, time\n"
+    "from subprocess import DEVNULL, PIPE, Popen\n"
+    "for line in sys.stdin:\n"
+    "    start = time.perf_counter()\n"
+    "    proc = Popen([sys.executable, *json.loads(line)], stdout=DEVNULL, stderr=PIPE)\n"
+    "    err = proc.stderr.read().decode()\n"
+    "    _, status, usage = os.wait4(proc.pid, 0)\n"
+    "    proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "    end = time.perf_counter()\n"
+    "    print(json.dumps([start, end, usage.ru_maxrss, proc.returncode, err]), flush=True)\n"
+)
 # Runs `balsum` as `python -m balsum` does, then writes the time its main
 # returned as the last line of stderr.
 TEARDOWN_WRAPPER = (
@@ -225,12 +248,14 @@ def output_rows() -> dict[str, dict[str, dict[str, float]]]:
     return {"table": tables, "str_B_n": singles}
 
 
-def process_rows() -> dict[str, dict[str, float]]:
-    """The start-up row, the median wall time in ms of each STARTUP_COMMANDS
-    process, and the teardown row, the median time in ms from the return of
-    each `balsum` request's main to its exit; the commands take turns, from a
-    bytecode-free copy of the package under test."""
+def process_rows() -> dict[str, dict[str, float | dict[str, float]]]:
+    """The start-up row, the median wall time in ms and the peak RSS in MB of
+    each STARTUP_COMMANDS process, and the teardown row, the median time in ms
+    from the return of each `balsum` request's main to its exit; the commands
+    take turns, from a bytecode-free copy of the package under test, each
+    spawned by SPAWNER."""
     startup: dict[str, list[float]] = {name: [] for name in STARTUP_COMMANDS}
+    peak_kb = dict.fromkeys(STARTUP_COMMANDS, 0)
     teardown: dict[str, list[float]] = {
         name: [] for name, args in STARTUP_COMMANDS.items() if args[:2] == ["-m", "balsum"]
     }
@@ -238,21 +263,34 @@ def process_rows() -> dict[str, dict[str, float]]:
         package = Path(balsum.__file__).parent
         shutil.copytree(package, Path(tmp, package.name), ignore=shutil.ignore_patterns("__pycache__"))
         env = dict(os.environ, PYTHONPATH=tmp, PYTHONDONTWRITEBYTECODE="1")
-        for _ in range(STARTUP_ROUNDS):
-            for name, args in STARTUP_COMMANDS.items():
-                start = perf_counter()
-                subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=True)
-                startup[name].append(1e3 * (perf_counter() - start))
-                if name in teardown:
-                    run = subprocess.run(
-                        [sys.executable, "-c", TEARDOWN_WRAPPER, *args[2:]],
-                        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True,
-                    )
-                    main_returned = float(run.stderr.rsplit(b"\n", 1)[-1])
-                    teardown[name].append(1e3 * (perf_counter() - main_returned))
+        helper = [sys.executable, "-S", "-c", SPAWNER]
+        with subprocess.Popen(
+            helper, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+        ) as spawner:
+
+            def spawned(args: list[str]) -> tuple[float, float, int, str]:
+                """(start, end, ru_maxrss in KB, stderr) of one process; a failed one ends the grid."""
+                print(json.dumps(args), file=spawner.stdin, flush=True)
+                start, end, maxrss_kb, code, err = json.loads(spawner.stdout.readline())
+                if code:
+                    raise SystemExit(f"python {' '.join(args)} exited {code}:\n{err}")
+                return start, end, maxrss_kb, err
+
+            for _ in range(STARTUP_ROUNDS):
+                for name, args in STARTUP_COMMANDS.items():
+                    start, end, maxrss_kb, _ = spawned(args)
+                    startup[name].append(1e3 * (end - start))
+                    peak_kb[name] = max(peak_kb[name], maxrss_kb)
+                    if name in teardown:
+                        _, end, _, err = spawned(["-c", TEARDOWN_WRAPPER, *args[2:]])
+                        main_returned = float(err.rsplit("\n", 1)[-1])
+                        teardown[name].append(1e3 * (end - main_returned))
     return {
-        row: {name: round(statistics.median(ms), 1) for name, ms in times.items()}
-        for row, times in (("startup", startup), ("teardown", teardown))
+        "startup": {
+            name: {"ms": round(statistics.median(ms), 1), "peak_rss_mb": round(peak_kb[name] / 1024, 2)}
+            for name, ms in startup.items()
+        },
+        "teardown": {name: round(statistics.median(ms), 1) for name, ms in teardown.items()},
     }
 
 

@@ -13,13 +13,9 @@ __version__ = "0.1.0"
 # and a caller pays only for what it uses.
 _EXPORTS = {
     "arith": ("InexactResultError",),
+    "field": ("ALPHA", "BETA", "FOUR_SQRT2", "QuadElem", "SQRT2"),
     "laurent": (
-        "ALPHA",
-        "BETA",
-        "FOUR_SQRT2",
         "LaurentPoly",
-        "QuadElem",
-        "SQRT2",
         "verify_even_power_identity",
         "verify_odd_power_identity",
         "verify_power_sum_formula",

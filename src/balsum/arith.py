@@ -2,7 +2,7 @@
 
 :func:`_pair_product` is the one product in Z[sqrt 2] and :func:`_alpha_power`
 the powers of ALPHA = 3 + 2*sqrt(2); ``QuadElem``, the field Q(sqrt 2), lives
-in :mod:`balsum.laurent`.  Rationals are :class:`fractions.Fraction`, which
+in :mod:`balsum.field`.  Rationals are :class:`fractions.Fraction`, which
 keeps them canonical (denominator positive, fully reduced); ``fractions`` is
 imported only inside the three functions that make one, so ``sum`` and ``gen``
 never load it.
@@ -153,10 +153,10 @@ def _alpha_power(o: int) -> tuple[int, int]:
 
 
 def __getattr__(name: str) -> object:
-    """``QuadElem`` from :mod:`balsum.laurent` on first access (PEP 562), the alias perfbench's
-    tracer reads; it ends when the tracer reads ``laurent.QuadElem`` (ROADMAP direction 4)."""
+    """``QuadElem`` from :mod:`balsum.field` on first access (PEP 562), the alias perfbench's
+    tracer reads; it ends when the tracer reads ``field.QuadElem`` (ROADMAP direction 4)."""
     if name == "QuadElem":
-        from .laurent import QuadElem
+        from .field import QuadElem
 
         return QuadElem
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,16 +1,15 @@
-"""Q(sqrt 2), Laurent polynomials over it, and mechanical identity verification.
+"""Laurent polynomials over Q(sqrt 2), and mechanical identity verification.
 
-:class:`QuadElem`, an exact element of Q(sqrt 2) kept as one integer triple,
-is the coefficient type.  ALPHA = 3 + 2*sqrt(2) and BETA = 3 - 2*sqrt(2) are
-the roots of x**2 - 6*x + 1, and ALPHA*BETA = 1.  The numeric paths build no
-QuadElem: they work on integer pairs in Z[sqrt 2], by :mod:`balsum.arith`.
+A polynomial keeps integer numerators over one denominator.  Only the methods
+that take or give a coefficient, a :class:`balsum.field.QuadElem`, load
+:mod:`balsum.field`; :func:`encode`, products, powers and the verifiers never do.
 
-Every identity this library relies on is, after the substitution
-X = ALPHA**n, a polynomial identity in X with negative exponents allowed:
-BETA being the inverse of ALPHA turns its powers into negative powers of X.
+Every identity this library relies on is, after the substitution X = ALPHA**n,
+ALPHA = 3 + 2*sqrt(2), a polynomial identity in X with negative exponents
+allowed: BETA = 1/ALPHA turns its powers into negative powers of X.
 :func:`encode` is the one map from balancing numbers at affine indices to
 such a :class:`LaurentPoly`, a finitely supported map from integer exponents
-to :class:`QuadElem` coefficients, so checking an identity for all n at once
+to coefficients in Q(sqrt 2), so checking an identity for all n at once
 reduces to testing the encoded difference of its sides for zero.  The
 verifiers encode the objects the library emits (linear forms, generating
 function parameters and closed sums), not copies of their formulas.
@@ -18,152 +17,16 @@ function parameters and closed sums), not copies of their formulas.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .arith import _alpha_power, _check_at_least, _pair_product, _power, _repr, _text
+from .arith import _alpha_power, _check_at_least, _pair_product, _power
 from .linearize import LinearForm, RatLike, linearize_even, linearize_odd
 from .summation import ClosedSumExpr, gf_params, power_sum_formula
 
-
-class QuadElem:
-    """An exact element a + b*sqrt(2) of Q(sqrt 2).
-
-    Stored as three integers (p, q, d) meaning (p + q*sqrt 2)/d, with d > 0
-    and gcd(d, p, q) == 1, so each value has one representation and equality
-    compares the triples.  An operation works on the integers and reduces
-    once at the end.  Coordinates are rationals so that inverses stay inside
-    the type; ``a`` and ``b`` read them as Fractions.  Values are immutable.
-    Mixed arithmetic treats an int or Fraction as an element with b = 0.
-    """
-
-    __slots__ = ("_p", "_q", "_d")
-
-    def __init__(self, a: RatLike, b: RatLike = 0) -> None:
-        a, b = Fraction(a), Fraction(b)
-        # The lcm of two reduced denominators shares no prime with both
-        # scaled numerators, so the triple is already canonical.
-        d = lcm(a.denominator, b.denominator)
-        self._p = a.numerator * (d // a.denominator)
-        self._q = b.numerator * (d // b.denominator)
-        self._d = d
-
-    @property
-    def a(self) -> Fraction:
-        """The rational part."""
-        return Fraction(self._p, self._d)
-
-    @property
-    def b(self) -> Fraction:
-        """The coefficient of sqrt(2)."""
-        return Fraction(self._q, self._d)
-
-    def __add__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = _triple(other)
-        if o is None:
-            return NotImplemented
-        p2, q2, d2 = o
-        d1 = self._d
-        return _reduced(self._p * d2 + p2 * d1, self._q * d2 + q2 * d1, d1 * d2)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: QuadElem | RatLike) -> QuadElem:
-        return NotImplemented if _triple(other) is None else self + -other
-
-    def __rsub__(self, other: QuadElem | RatLike) -> QuadElem:
-        return NotImplemented if _triple(other) is None else -self + other
-
-    def __neg__(self) -> QuadElem:
-        return _reduced(-self._p, -self._q, self._d)
-
-    def __mul__(self, other: QuadElem | RatLike) -> QuadElem:
-        o = _triple(other)
-        if o is None:
-            return NotImplemented
-        u = (self._p, self._q)
-        x, y = _pair_product(u, u if other is self else o[:2])
-        return _reduced(x, y, self._d * o[2])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> QuadElem:
-        return _power(self, n, QUAD_ONE)
-
-    def __eq__(self, other: object) -> bool:
-        o = _triple(other)  # type: ignore[arg-type]
-        if o is None:
-            return NotImplemented
-        return (self._p, self._q, self._d) == o
-
-    def __hash__(self) -> int:
-        # Equal values hash equal: a rational element hashes as its Fraction (or int).
-        if self._q == 0:
-            return hash(self.a)
-        return hash((self._p, self._q, self._d))
-
-    def __bool__(self) -> bool:
-        return self._p != 0 or self._q != 0
-
-    def __repr__(self) -> str:
-        return f"QuadElem(a={_repr(self.a)}, b={_repr(self.b)})"
-
-    def conj(self) -> QuadElem:
-        """The sqrt(2)-conjugate a - b*sqrt(2)."""
-        return _reduced(self._p, -self._q, self._d)
-
-    def inverse(self) -> QuadElem:
-        """Multiplicative inverse; exists exactly when the element is nonzero.
-
-        1 / ((p + q*sqrt 2)/d) = (p - q*sqrt 2)*d / (p**2 - 2*q**2).
-        """
-        p, q, d = self._p, self._q, self._d
-        n = p * p - 2 * q * q
-        if n == 0:
-            raise ZeroDivisionError("zero element of Q(sqrt 2) has no inverse")
-        if n < 0:
-            p, q, n = -p, -q, -n
-        return _reduced(p * d, -q * d, n)
-
-    def __str__(self) -> str:
-        if self._q == 0:
-            return _text(self.a)
-        sign = "-" if self._q < 0 else "+"
-        return f"{_text(self.a)} {sign} {_text(abs(self.b))}*sqrt2"
-
-
-def _reduced(p: int, q: int, d: int) -> QuadElem:
-    """The element (p + q*sqrt 2)/d, d > 0, divided through by gcd(d, p, q): every
-    :class:`QuadElem` operation builds its result here.  d goes first because math.gcd
-    skips the remaining arguments once its running gcd is 1, so integral values such as
-    the powers of ALPHA pay no big-integer gcd."""
-    g = gcd(d, p, q)
-    if g != 1:
-        p, q, d = p // g, q // g, d // g
-    x = object.__new__(QuadElem)
-    x._p, x._q, x._d = p, q, d
-    return x
-
-
-def _triple(value: QuadElem | RatLike) -> tuple[int, int, int] | None:
-    """(p, q, d) of a QuadElem, int or Fraction; None for any other type."""
-    if isinstance(value, QuadElem):
-        return value._p, value._q, value._d
-    if isinstance(value, (int, Fraction)):
-        num, den = value.as_integer_ratio()
-        return num, 0, den
-    return None
-
-
-QUAD_ZERO = QuadElem(0)
-QUAD_ONE = QuadElem(1)
-SQRT2 = QuadElem(0, 1)
-ALPHA = QuadElem(3, 2)
-BETA = QuadElem(3, -2)
-# ALPHA - BETA; dividing by it turns power differences into sequence values.
-FOUR_SQRT2 = QuadElem(0, 4)
+if TYPE_CHECKING:
+    from .field import QuadElem
 
 
 class LaurentPoly:
@@ -190,6 +53,8 @@ class LaurentPoly:
     __slots__ = ("_coeffs", "_d")
 
     def __init__(self, coeffs: dict[int, QuadElem | RatLike] | None = None) -> None:
+        if coeffs:
+            from .field import QuadElem, _triple
         poly = _canonical(
             (_check_at_least("exponent", e, None), *_triple(value if isinstance(value, QuadElem) else QuadElem(value)))
             for e, value in (coeffs or {}).items()
@@ -198,7 +63,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls({0: QUAD_ONE})
+        return _canonical([(0, 1, 0, 1)])
 
     @classmethod
     def monomial(cls, exponent: int, coeff: QuadElem | RatLike = 1) -> LaurentPoly:
@@ -209,6 +74,8 @@ class LaurentPoly:
         return tuple(sorted(self._coeffs))
 
     def coefficient(self, exponent: int) -> QuadElem:
+        from .field import _reduced
+
         p, q = self._coeffs.get(_check_at_least("exponent", exponent, None), (0, 0))
         return _reduced(p, q, self._d)
 
@@ -238,10 +105,12 @@ class LaurentPoly:
         return ((e, sign * p, sign * q, self._d) for e, (p, q) in self._coeffs.items())
 
     def __mul__(self, other: LaurentPoly | QuadElem | RatLike) -> LaurentPoly:
-        if isinstance(other, (QuadElem, int, Fraction)):
+        if not isinstance(other, LaurentPoly):
+            from .field import _triple
+
+            if _triple(other) is None:
+                return NotImplemented
             other = LaurentPoly({0: other})
-        elif not isinstance(other, LaurentPoly):
-            return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly()
         low1, low2 = min(self._coeffs), min(other._coeffs)
@@ -268,6 +137,8 @@ class LaurentPoly:
     def evaluate(self, x: QuadElem) -> QuadElem:
         """Exact value at X = x; x must be invertible if negative exponents
         are present."""
+        from .field import QUAD_ZERO
+
         terms = self._terms()
         inv = x.inverse() if any(e < 0 for e, _ in terms) else None
         total = QUAD_ZERO
@@ -278,7 +149,7 @@ class LaurentPoly:
 
     def _terms(self) -> list[tuple[int, QuadElem]]:
         """(exponent, coefficient) of every nonzero coefficient, exponents rising."""
-        return [(e, _reduced(p, q, self._d)) for e, (p, q) in sorted(self._coeffs.items())]
+        return [(e, self.coefficient(e)) for e in self.support]
 
     def __repr__(self) -> str:
         if self.is_zero():

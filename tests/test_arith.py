@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import balsum
 from balsum import sequences
 from balsum.arith import InexactResultError, _exact, _power, _rational, _text
-from balsum.laurent import ALPHA, BETA, FOUR_SQRT2, SQRT2, QuadElem
+from balsum.field import ALPHA, BETA, FOUR_SQRT2, SQRT2, QuadElem
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 quad_elems = st.builds(QuadElem, small_rationals, small_rationals)

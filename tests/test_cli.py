@@ -797,3 +797,26 @@ def test_sum_loads_no_form_code_without_the_oracle(oracle):
 @pytest.mark.parametrize("method", ["recurrence", "fast", "binet"])
 def test_gen_loads_only_the_integer_layer(method):
     assert _loaded_by(["gen", "--upto", "30", "--method", method]) == _INTEGER_LAYER
+
+
+# What a symbolic request loads on top of the integer layer: the form code,
+# `fractions`, and for `verify` the proofs; none loads `balsum.field`, since
+# no proof builds an element of Q(sqrt 2).
+_FORMS = _INTEGER_LAYER | {"balsum.linearize", "fractions"}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        pytest.param(["verify"], _FORMS | {"balsum.summation", "balsum.laurent"}, id="verify-default"),
+        pytest.param(
+            ["verify", "--odd-max-l", "2", "--even-max-l", "1", "--lemma-max-m", "3"],
+            _FORMS | {"balsum.summation", "balsum.laurent"},
+            id="verify-all-families",
+        ),
+        pytest.param(["formula", "--m", "3", "--power", "8"], _FORMS | {"balsum.summation"}, id="formula"),
+        pytest.param(["linearize", "--power", "8"], _FORMS, id="linearize"),
+    ],
+)
+def test_symbolic_requests_load_no_field(argv, loaded):
+    assert _loaded_by(argv) == loaded

@@ -17,13 +17,9 @@ from pathlib import Path
 # Every public name of `balsum`, under the module that defines it.
 HOMES = {
     "arith": ("InexactResultError",),
+    "field": ("ALPHA", "BETA", "FOUR_SQRT2", "QuadElem", "SQRT2"),
     "laurent": (
-        "ALPHA",
-        "BETA",
-        "FOUR_SQRT2",
         "LaurentPoly",
-        "QuadElem",
-        "SQRT2",
         "verify_even_power_identity",
         "verify_odd_power_identity",
         "verify_power_sum_formula",
@@ -91,7 +87,7 @@ def check(case):
         # the public names alone still.
         assert dir(balsum) == PUBLIC_NAMES
     elif case == "submodules":
-        for home in ("arith", "laurent", "sequences", "summation"):
+        for home in ("arith", "field", "laurent", "sequences", "summation"):
             module = getattr(balsum, home)
             assert isinstance(module, types.ModuleType), home
             assert module is sys.modules[f"balsum.{home}"], home
@@ -116,9 +112,9 @@ def check(case):
         assert "fractions" not in sys.modules
     elif case == "quad_elem_alias":
         # arith.QuadElem, which perfbench's tracer patches, is the class of
-        # laurent, its home; arith loads neither it nor fractions until read.
-        assert "balsum.laurent" not in sys.modules and "fractions" not in sys.modules
-        assert balsum.arith.QuadElem is sys.modules["balsum.laurent"].QuadElem
+        # field, its home; arith loads neither it nor fractions until read.
+        assert "balsum.field" not in sys.modules and "fractions" not in sys.modules
+        assert balsum.arith.QuadElem is sys.modules["balsum.field"].QuadElem
         assert balsum.arith.QuadElem is balsum.QuadElem
         try:
             balsum.arith.ALPHA

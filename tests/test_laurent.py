@@ -1,17 +1,17 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from balsum import laurent, summation
+from balsum.field import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem
 from balsum.laurent import (
-    ALPHA,
-    QUAD_ONE,
-    QUAD_ZERO,
     LaurentPoly,
-    QuadElem,
     encode,
     verify_even_power_identity,
     verify_odd_power_identity,
@@ -148,6 +148,56 @@ def test_product_at_the_digit_bound():
 def test_repr():
     assert repr(LaurentPoly()) == "LaurentPoly(0)"
     assert repr(LaurentPoly({-1: ALPHA, 2: 3})) == "LaurentPoly((3)*X^2 + (3 + 2*sqrt2)*X^-1)"
+
+
+# Each LaurentPoly method that takes or gives a coefficient, and the repr of
+# its result.  P, built by `encode`, is 1 + B(n) + B(2n + 1)/3 in X = ALPHA**n.
+_COEFFICIENT_CASES = {
+    "LaurentPoly({1: 2, -3: Fraction(-5, 6)})": "LaurentPoly((2)*X^1 + (-5/6)*X^-3)",
+    "LaurentPoly({-1: 3, 2: Fraction(1, 2), 0: balsum.QuadElem(1, -2)})":
+        "LaurentPoly((1/2)*X^2 + (1 - 2*sqrt2)*X^0 + (3)*X^-1)",
+    "LaurentPoly()": "LaurentPoly(0)",
+    "LaurentPoly.one()": "LaurentPoly((1)*X^0)",
+    "LaurentPoly.monomial(-2)": "LaurentPoly((1)*X^-2)",
+    "LaurentPoly.monomial(3, Fraction(2, 3))": "LaurentPoly((2/3)*X^3)",
+    "P": "LaurentPoly((1/6 + 1/8*sqrt2)*X^2 + (0 + 1/8*sqrt2)*X^1 + (1)*X^0 + (0 - 1/8*sqrt2)*X^-1"
+    " + (1/6 - 1/8*sqrt2)*X^-2)",
+    "P.coefficient(2)": "QuadElem(a=Fraction(1, 6), b=Fraction(1, 8))",
+    "P.coefficient(7)": "QuadElem(a=Fraction(0, 1), b=Fraction(0, 1))",
+    "P * 3": "LaurentPoly((1/2 + 3/8*sqrt2)*X^2 + (0 + 3/8*sqrt2)*X^1 + (3)*X^0 + (0 - 3/8*sqrt2)*X^-1"
+    " + (1/2 - 3/8*sqrt2)*X^-2)",
+    "3 * P": "LaurentPoly((1/2 + 3/8*sqrt2)*X^2 + (0 + 3/8*sqrt2)*X^1 + (3)*X^0 + (0 - 3/8*sqrt2)*X^-1"
+    " + (1/2 - 3/8*sqrt2)*X^-2)",
+    "P * Fraction(1, 2)": "LaurentPoly((1/12 + 1/16*sqrt2)*X^2 + (0 + 1/16*sqrt2)*X^1 + (1/2)*X^0"
+    " + (0 - 1/16*sqrt2)*X^-1 + (1/12 - 1/16*sqrt2)*X^-2)",
+    "P * balsum.ALPHA": "LaurentPoly((1 + 17/24*sqrt2)*X^2 + (1/2 + 3/8*sqrt2)*X^1 + (3 + 2*sqrt2)*X^0"
+    " + (-1/2 - 3/8*sqrt2)*X^-1 + (0 - 1/24*sqrt2)*X^-2)",
+    "balsum.ALPHA * P": "LaurentPoly((1 + 17/24*sqrt2)*X^2 + (1/2 + 3/8*sqrt2)*X^1 + (3 + 2*sqrt2)*X^0"
+    " + (-1/2 - 3/8*sqrt2)*X^-1 + (0 - 1/24*sqrt2)*X^-2)",
+    "P.__mul__('x')": "NotImplemented",
+    "P.evaluate(balsum.ALPHA)": "QuadElem(a=Fraction(41, 3), b=Fraction(0, 1))",
+    "LaurentPoly.monomial(2, 3).evaluate(2)": "QuadElem(a=Fraction(12, 1), b=Fraction(0, 1))",
+}
+
+
+@pytest.mark.parametrize("expression", _COEFFICIENT_CASES)
+def test_coefficient_methods_load_the_field_themselves(expression):
+    # `laurent` imports `balsum.field` inside these methods alone; each runs
+    # first in a fresh interpreter, so a missed import shows as a NameError.
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import balsum\n"
+        "from balsum.laurent import LaurentPoly, encode\n"
+        "P = encode([(1, 1, 0), (Fraction(1, 3), 2, 1)], 1)\n"
+        "assert 'balsum.field' not in sys.modules\n"
+        "print(repr(eval(sys.argv[1])))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script, expression], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == _COEFFICIENT_CASES[expression] + "\n"
 
 
 def test_unsupported_operands():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balsum import laurent
-from balsum.laurent import ALPHA, QUAD_ZERO, SQRT2, QuadElem
+from balsum.field import ALPHA, QUAD_ZERO, SQRT2, QuadElem
 from balsum.laurent import LaurentPoly, encode
 from test_laurent import dict_product, rational_coefficients, sparse_polys
 

@@ -55,17 +55,27 @@ def run_shim(tmp_path, mode, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, layer",
+    "argv, span",
     [
-        (["verify", "--odd-max-l", "3", "--even-max-l", "2", "--lemma-max-m", "4"], "laurent"),
-        (["sum", "--m", "2", "--power", "3", "--upto", "5", "--oracle"], "sequences"),
-        (["linearize", "--power", "5"], "linearize"),
+        pytest.param(
+            ["verify", "--odd-max-l", "3", "--even-max-l", "2", "--lemma-max-m", "4"],
+            ("laurent", "verify_odd_power_identity"),
+            id="verify",
+        ),
+        pytest.param(
+            ["sum", "--m", "2", "--power", "3", "--upto", "5", "--oracle"],
+            ("sequences", "brute_force_power_sum"),
+            id="sum-oracle",
+        ),
+        pytest.param(["linearize", "--power", "5"], ("linearize", "linearize"), id="linearize"),
     ],
 )
-def test_proofs_and_sums_run_under_both_modes(tmp_path, argv, layer):
+def test_proofs_and_sums_run_under_both_modes(tmp_path, argv, span):
+    # ``span`` is the (layer, function) the request must trace: for `sum
+    # --oracle` the oracle's own, which the `power_sum` span would not show.
     run, record = run_shim(tmp_path, "spans", argv)
     assert run.returncode == 0, run.stderr
-    assert layer in {span[0] for span in record["spans"]}
+    assert span in {(layer, name) for layer, name, *_ in record["spans"]}
     alloc_run, alloc = run_shim(tmp_path, "alloc", argv)
     assert alloc_run.returncode == 0, alloc_run.stderr
     assert alloc_run.stdout == run.stdout

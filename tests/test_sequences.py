@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from balsum import sequences
 from balsum.arith import InexactResultError
-from balsum.laurent import ALPHA
+from balsum.field import ALPHA
 from balsum.sequences import (
     balancing,
     balancing_binet,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from balsum import sequences, summation
 from balsum.arith import InexactResultError
-from balsum.laurent import QuadElem
+from balsum.field import QuadElem
 from balsum.linearize import LinearForm, linearize
 from balsum.sequences import balancing, balancing_pair, brute_force_power_sum, lucas_balancing, power_sum
 from balsum.summation import (
