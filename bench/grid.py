@@ -10,9 +10,10 @@ power_sum_formula(m, l) alone, and that derivation plus one evaluation at n,
 the route power_sum took before it summed the Binet formula.  Where n*l is at
 most 10**4, brute force is cheap enough to time, and a row also times
 brute_force_power_sum and flags whether power_sum beats it; elsewhere both
-entries are null.  The shifted_closed_sum row times sum_{k<=n} B(k*m + r) at
-two (m, r, n), and at r = 0 for the same m and n, checking S(n) - S(n-1) =
-B(m*n + r), and S = power_sum(m, 1, n) at r = 0.  Every value a row computes
+entries are null.  The shifted_closed_sum row times sum_{k<=n} B(k*m + r), the
+same Binet engine of `sequences` at l = 1, at two (m, r, n), and at r = 0 for
+the same m and n, checking S(n) - S(n-1) = B(m*n + r), and S = power_sum(m, 1, n)
+at r = 0.  Every value a row computes
 is checked equal.  It times
 the QuadElem multiply on small rationals (a batch of products) and on
 operands the size of ALPHA**(10**5), the public LaurentPoly product P * (P + X) at
@@ -87,8 +88,9 @@ from balsum.sequences import (
     decimal_table,
     power_sum,
     sequence_table,
+    shifted_closed_sum,
 )
-from balsum.summation import power_sum_formula, shifted_closed_sum
+from balsum.summation import power_sum_formula
 
 T = TypeVar("T")
 

@@ -27,20 +27,20 @@ _EXPORTS = {
         "balancing_binet",
         "balancing_fast",
         "brute_force_power_sum",
-        "gf_coefficients",
+        "closed_sum",
         "lucas_balancing",
         "lucas_balancing_binet",
         "lucas_balancing_fast",
         "power_sum",
         "sequence_table",
+        "shifted_closed_sum",
     ),
     "summation": (
         "ClosedSumExpr",
         "GFParams",
-        "closed_sum",
+        "gf_coefficients",
         "gf_params",
         "power_sum_formula",
-        "shifted_closed_sum",
         "subsequence_gf_check",
     ),
 }

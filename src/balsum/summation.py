@@ -1,16 +1,17 @@
-"""Closed forms for partial sums of powers of equally spaced balancing numbers.
+"""The paper's second route: closed forms of power sums by generating functions.
 
-The backbone is the generating function of the subsequence B(k*m):
+The generating function of B is z / (1 - 6*z + z**2) (:func:`gf_coefficients`),
+and that of the subsequence B(k*m) is
 
     sum_k B(k*m) z**k  =  B(m)*z / (1 - 2*C(m)*z + z**2)
 
-whose partial sums telescope.  :func:`_summed`, the one derivation, sums
-F = linear + a combination of B terms into the :class:`ClosedSumExpr` of
-sum_{0<=k<=n} F(k*m): the linear form of B(x)**l in :func:`power_sum_formula`.
-:func:`shifted_closed_sum`, :func:`closed_sum` and ``sequences.power_sum`` build
-no record: they are ``sequences._binet_sum``, so the Binet sum and the record
-check each other.  :class:`ClosedSumExpr` shares the evaluator, integrality
-check and renderer of :class:`~balsum.linearize.LinearForm`.
+(:func:`gf_params`, checked by :func:`subsequence_gf_check`), whose partial sums
+telescope.  :func:`_summed`, the one derivation, sums F = linear + a combination
+of B terms into the :class:`ClosedSumExpr` of sum_{0<=k<=n} F(k*m): the linear
+form of B(x)**l in :func:`power_sum_formula`.  :class:`ClosedSumExpr` shares the
+evaluator, integrality check and renderer of :class:`~balsum.linearize.LinearForm`.
+The values of the sums come from the first route, :func:`~balsum.sequences.power_sum`,
+which builds no record, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -20,8 +21,19 @@ from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .arith import _check_at_least, _rational, _record_repr, _text
-from .linearize import BTerm, TermKey, _AffineForm, _merge, linearize
-from .sequences import _binet_sum, _recurrence, balancing, balancing_pair
+from .linearize import BTerm, TermKey, _AffineForm, _merge, _power_form
+from .sequences import _recurrence, balancing, balancing_pair
+
+
+def gf_coefficients(count: int) -> list[int]:
+    """First ``count`` power-series coefficients of z / (1 - 6*z + z**2).
+
+    The coefficients obey c(n) = 6*c(n-1) - c(n-2) with c(0) = 0, c(1) = 1,
+    so they are read off the recurrence walk, independently of
+    :func:`~balsum.sequences.balancing_pair`: a test oracle for the generating function of B.
+    """
+    _check_at_least("count", count, 1)
+    return list(islice(_recurrence("B"), count))
 
 
 class GFParams(NamedTuple):
@@ -45,29 +57,14 @@ def subsequence_gf_check(m: int, n_terms: int) -> bool:
     """Check (1 - middle*z + z**2) * sum_{k<=n_terms} B(k*m) z**k == B(m)*z
     coefficient-wise up to degree n_terms - 1; the series is every m-th value
     of one recurrence walk, so it shares no code with :func:`gf_params`."""
-    _check_at_least("m", m, 1)
-    _check_at_least("n_terms", n_terms, 2)
     params = gf_params(m)
+    _check_at_least("n_terms", n_terms, 2)
     prev2 = prev = 0
     for j, b in enumerate(islice(_recurrence("B"), 0, m * n_terms, m)):
         if b - params.middle * prev + prev2 != (params.numer if j == 1 else 0):
             return False
         prev2, prev = prev, b
     return True
-
-
-def closed_sum(m: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m) in closed form: :func:`shifted_closed_sum` at r = 0."""
-    return shifted_closed_sum(m, 0, n)
-
-
-def shifted_closed_sum(m: int, r: int, n: int) -> int:
-    """sum_{0<=k<=n} B(k*m + r): ``sequences._binet_sum`` at l = 1, pinned to direct
-    summation over an (m, r, n) grid in the tests.  It checks m, then r, then n."""
-    _check_at_least("m", m, 1)
-    _check_at_least("r", r, 0)
-    _check_at_least("index", n, 0)
-    return _binet_sum(m, 1, n, r, f"the shifted sum for m={m}, r={r} at n={n}")
 
 
 class _ClosedSumFields(NamedTuple):
@@ -141,5 +138,5 @@ def power_sum_formula(m: int, l: int) -> ClosedSumExpr:
     of the linearization of B(x)**l."""
     _check_at_least("m", m, 1)
     _check_at_least("l", l, 1)
-    form = linearize(l)
+    form = _power_form(l)
     return _summed(m, l, form.constant, form.bterms)

@@ -21,12 +21,12 @@ from balsum.sequences import (
     balancing_binet,
     balancing_fast,
     brute_force_power_sum,
-    gf_coefficients,
+    closed_sum,
     lucas_balancing,
     power_sum,
 )
 from balsum.summation import (
-    closed_sum,
+    gf_coefficients,
     subsequence_gf_check,
 )
 

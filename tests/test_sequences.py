@@ -14,12 +14,12 @@ from balsum.sequences import (
     balancing_pair,
     brute_force_power_sum,
     decimal_table,
-    gf_coefficients,
     lucas_balancing,
     lucas_balancing_binet,
     lucas_balancing_fast,
     sequence_table,
 )
+from balsum.summation import gf_coefficients
 
 # A001109, first eleven terms.
 GOLDEN_B = [0, 1, 6, 35, 204, 1189, 6930, 40391, 235416, 1372105, 7997214]
@@ -258,5 +258,5 @@ def power_sum_mod_oracle(m, l, n, r, p):
 def test_binet_sum_against_a_walk_modulo_a_prime(m, l, r, n):
     # At sizes brute force cannot reach: terms of up to about 90,000 digits.
     n = min(n, (MOD_WALK_MAX_INDEX - r) // m)
-    total = sequences._binet_sum(m, l, n, r, "the sum under test")
+    total = sequences._binet_sum(m, l, n, r)
     assert total % P61 == power_sum_mod_oracle(m, l, n, r, P61)

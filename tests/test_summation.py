@@ -11,14 +11,20 @@ from balsum import sequences, summation
 from balsum.arith import InexactResultError
 from balsum.field import QuadElem
 from balsum.linearize import LinearForm, linearize
-from balsum.sequences import balancing, balancing_pair, brute_force_power_sum, lucas_balancing, power_sum
+from balsum.sequences import (
+    balancing,
+    balancing_pair,
+    brute_force_power_sum,
+    closed_sum,
+    lucas_balancing,
+    power_sum,
+    shifted_closed_sum,
+)
 from balsum.summation import (
     ClosedSumExpr,
     GFParams,
-    closed_sum,
     gf_params,
     power_sum_formula,
-    shifted_closed_sum,
     subsequence_gf_check,
 )
 
@@ -172,6 +178,45 @@ def test_power_sum_raises_on_a_remainder(monkeypatch, part):
     monkeypatch.setattr(sequences, "balancing_pair", off_by_one)
     with pytest.raises(InexactResultError, match="^the power sum for m=1, l=1 at n=9 is not an integer"):
         power_sum(1, 1, 9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda bad: power_sum(bad, bad, bad), id="power_sum"),
+        pytest.param(lambda bad: closed_sum(bad, bad), id="closed_sum"),
+        pytest.param(lambda bad: shifted_closed_sum(bad, bad, bad), id="shifted_closed_sum"),
+    ],
+)
+@pytest.mark.parametrize(
+    "bad, rule",
+    [
+        pytest.param(-1, "non-negative, got -1", id="negative"),
+        pytest.param(None, "an integer, got None", id="none"),
+    ],
+)
+def test_every_binet_sum_checks_the_index_first(call, bad, rule):
+    # The three sums share the engine's one check: with every argument bad,
+    # the index n is named first.
+    with pytest.raises(ValueError, match=f"^index must be {rule}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_a_shifted_sum_names_its_shift_on_a_remainder(monkeypatch, part):
+    # As for the power sum above, with the index 10 reached as m*(n+1) + r = 8 + 2:
+    # a remainder at r > 0 names r beside m, l and n.
+    real = sequences.balancing_pair
+
+    def off_by_one(k):
+        pair = list(real(k))
+        pair[part] += k == 10
+        return tuple(pair)
+
+    monkeypatch.setattr(sequences, "balancing_pair", off_by_one)
+    message = "^the power sum for m=1, l=1, r=2 at n=7 is not an integer"
+    with pytest.raises(InexactResultError, match=message):
+        shifted_closed_sum(1, 2, 7)
 
 
 def test_power_sum_telescoping():
