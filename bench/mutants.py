@@ -1,22 +1,24 @@
-"""Mutation gate: every listed mutant of the library must fail the tests named for it.
+"""Mutation gate: every listed mutant must fail the tests named for it.
 
     python3 bench/mutants.py
 
-A mutant is one exact edit of one file under src/balsum: its old text, which
-must occur exactly once in that file, replaced by its new text.  For each
-mutant, src/, tests/ and pyproject.toml (the pytest settings) are copied into
-a new temporary directory, the edit is made there, and pytest runs the
-mutant's tests with -x -q --hypothesis-seed=0.  The mutant is killed when
-pytest reports a failed test (exit code 1) and survives when every test
-passes.  The identity mutant runs first: its new text is its old text, and it
-runs every test file the list names.  It must survive, or the copy fails those
+A mutant is one exact edit of one file of the repository, of the library
+under src/balsum or of the benchmark under perfbench: its old text, which must
+occur exactly once in that file, replaced by its new text.  For each mutant,
+src/, tests/, perfbench/, pyproject.toml (the pytest settings) and README.md
+(whose examples tests/test_cli.py runs) are copied into a new temporary
+directory, the edit is made in the copy alone, and pytest runs the mutant's
+tests with -x -q --hypothesis-seed=0.  The mutant is killed when pytest
+reports a failed test (exit code 1) and survives when every test passes.
+The identity mutant runs first: its new text is its old text, and it runs
+every test file the list names.  It must survive, or the copy fails those
 tests without any mutation and no kill means anything.
 
 One line is printed per mutant.  The exit code is 1 if any mutant survives,
 if any old text does not occur exactly once, if the identity mutant is
 killed, or if pytest ends any other way (a collection error, a timeout); 0
 otherwise.  Each mutant names only the test files, or test ids, that should
-catch it, which keeps the whole run near half a minute.
+catch it, which keeps the whole run under a minute.
 
 A surviving mutant is a gap in the tests: it stays on the list, and the tests
 are mended.  A change that moves the mutated code updates its entry here.
@@ -42,7 +44,7 @@ TIMEOUT_S = 300
 
 class Mutant(NamedTuple):
     name: str
-    path: str  # under src/balsum
+    path: str  # relative to the repository
     old: str
     new: str
     tests: tuple[str, ...]  # test files or test ids, relative to the repository
@@ -54,28 +56,28 @@ MUTANTS = (
     # The Binet engine behind power_sum, closed_sum and shifted_closed_sum.
     Mutant(
         "engine drops - br",
-        "sequences.py",
+        "src/balsum/sequences.py",
         "bz, cz = bz - br, cz - cr",
         "bz, cz = bz, cz - cr",
         ("tests/test_summation.py",),
     ),
     Mutant(
         "engine reads comb(l, s + 1)",
-        "sequences.py",
+        "src/balsum/sequences.py",
         BINET_TERM,
         BINET_TERM.replace("comb(l, s)", "comb(l, s + 1)"),
         ("tests/test_summation.py",),
     ),
     Mutant(
         "engine flips the sign at s = 0",
-        "sequences.py",
+        "src/balsum/sequences.py",
         BINET_TERM,
         BINET_TERM.replace("(-1) ** s", "(-1) ** (s or 1)"),
         ("tests/test_summation.py",),
     ),
     Mutant(
         "engine drops its r check",
-        "sequences.py",
+        "src/balsum/sequences.py",
         '("l", l, 1), ("r", r, 0)):',
         '("l", l, 1)):',
         (
@@ -86,45 +88,68 @@ MUTANTS = (
     # Mutations the change log claims the tests catch.
     Mutant(
         "_pair_product drops its factor 2",
-        "arith.py",
+        "src/balsum/arith.py",
         "return xx + 2 * yy,",
         "return xx + yy,",
         ("tests/test_sequences.py",),
     ),
     Mutant(
         "QuadElem.__rsub__ with the wrong sign",
-        "field.py",
+        "src/balsum/field.py",
         "else -self + other",
         "else self - other",
         ("tests/test_arith.py",),
     ),
     Mutant(
         "brute-force oracle reads balancing",
-        "sequences.py",
+        "src/balsum/sequences.py",
         'return sum(b**l for b in islice(_recurrence("B"), 0, m * n + 1, m))',
         "return sum(balancing(k * m) ** l for k in range(n + 1))",
         ("tests/test_sequences.py::test_brute_force_shares_no_code_with_the_evaluators",),
     ),
     Mutant(
         "arith imports fractions at the top",
-        "arith.py",
+        "src/balsum/arith.py",
         "import decimal\nimport operator\n",
         "import decimal\nimport fractions\nimport operator\n",
         ("tests/test_exports.py",),
     ),
     Mutant(
         "_summed with a wrong sign",
-        "summation.py",
+        "src/balsum/summation.py",
         "((step, offset), -q)]",
         "((step, offset), q)]",
         ("tests/test_summation.py",),
     ),
     Mutant(
         "gf_coefficients off by one",
-        "summation.py",
+        "src/balsum/summation.py",
         'return list(islice(_recurrence("B"), count))',
         'return list(islice(_recurrence("B"), 1, count + 1))',
         ("tests/test_sequences.py",),
+    ),
+    # The word of a flag's bound, the matrix oracles' one index check, and the
+    # benchmark tracer's span of the brute-force oracle.
+    Mutant(
+        "a flag's bound word chosen by its value",
+        "src/balsum/cli.py",
+        "{'positive' if low else 'non-negative'}",
+        "{'non-negative' if value < 0 else 'positive'}",
+        ("tests/test_cli.py::TestUsageMessages",),
+    ),
+    Mutant(
+        "_mat_pow drops its index check",
+        "src/balsum/sequences.py",
+        '_power(_STEP, _check_at_least("index", n, 0), _IDENTITY, _mat_mul)',
+        "_power(_STEP, n, _IDENTITY, _mat_mul)",
+        ("tests/test_arith.py::test_argument_error_messages",),
+    ),
+    Mutant(
+        "the shim leaves the brute-force oracle untraced",
+        "perfbench/shim.py",
+        "for key, (name, fn) in originals[layer].items()\n",
+        'for key, (name, fn) in originals[layer].items()\n        if name != "brute_force_power_sum"\n',
+        ("tests/test_perfbench_shim.py",),
     ),
 )
 
@@ -132,7 +157,7 @@ MUTANTS = (
 # stands for the mutation and not for a copy that fails without one.
 IDENTITY = Mutant(
     "identity",
-    "sequences.py",
+    "src/balsum/sequences.py",
     "bz, cz = bz - br, cz - cr",
     "bz, cz = bz - br, cz - cr",
     tuple(sorted({test.split("::")[0] for mutant in MUTANTS for test in mutant.tests})),
@@ -144,10 +169,11 @@ def run(mutant: Mutant) -> str:
     with tempfile.TemporaryDirectory(prefix="balsum-mutant-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / tree, work / tree, ignore=skip)
-        shutil.copy(ROOT / "pyproject.toml", work)
-        target = work / "src" / "balsum" / mutant.path
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work)
+        target = work / mutant.path
         text = target.read_text()
         if (count := text.count(mutant.old)) != 1:
             return f"old text found {count} times"

@@ -8,14 +8,15 @@ working directory <dir>).  The requests are those of the end-to-end
 benchmark, `perfbench/workloads.request_set` of the three workloads at seeds
 1 and 2, followed by a fixed list of usage errors, help texts, edge cases of
 `sum` (an empty sum, a large n, an oracle-checked odd power, the largest
-benchmark shape at a small n) and the default `verify` sweep.  A request whose stdout, stderr or exit code
-differs by sha256 between the two checkouts is printed with what differs;
-the script exits 1 if any request differs, 0 otherwise.
+benchmark shape at a small n) and the default `verify` sweep.  A request whose
+stdout, stderr or exit code differs between the two checkouts is printed with
+what differs and, for each differing stream, its first differing line under
+the parent and then under the change, cut to 200 characters; the script exits
+1 if any request differs, 0 otherwise.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -51,6 +52,8 @@ FIXED = [
 ]
 # No request of the benchmark takes more than a few seconds.
 TIMEOUT_S = 600
+# The characters of a differing line that are printed.
+CUT = 200
 
 
 def requests() -> list[list[str]]:
@@ -58,14 +61,29 @@ def requests() -> list[list[str]]:
     return [argv for requests in sets for argv in requests] + FIXED
 
 
-def digests(tree: Path, argv: list[str]) -> dict[str, str]:
-    """sha256 of the stdout and stderr, and the exit code, of one request."""
+def outputs(tree: Path, argv: list[str]) -> dict[str, bytes]:
+    """The stdout, stderr and exit code of one request."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, "-m", "balsum", *argv], cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S
     )
-    sha = {name: hashlib.sha256(data).hexdigest() for name, data in (("stdout", run.stdout), ("stderr", run.stderr))}
-    return {**sha, "exit": str(run.returncode)}
+    return {"stdout": run.stdout, "stderr": run.stderr, "exit": str(run.returncode).encode()}
+
+
+def first_difference(before: bytes, after: bytes) -> tuple[int, str, str]:
+    """The number of the first line at which two streams differ, and that line
+    of each, newline kept, as repr writes it, cut to CUT characters; a stream
+    that has ended there reads <end>."""
+    old, new = before.splitlines(keepends=True), after.splitlines(keepends=True)
+    k = next(i for i in range(max(len(old), len(new))) if old[i : i + 1] != new[i : i + 1])
+
+    def shown(lines: list[bytes]) -> str:
+        if k == len(lines):
+            return "<end>"
+        text = lines[k].decode(errors="replace")
+        return repr(text[:CUT]) + ("..." if len(text) > CUT else "")
+
+    return k + 1, shown(old), shown(new)
 
 
 def main(argv: list[str]) -> int:
@@ -76,11 +94,15 @@ def main(argv: list[str]) -> int:
     all_requests = requests()
     differing = 0
     for request in all_requests:
-        before, after = digests(parent, request), digests(change, request)
+        before, after = outputs(parent, request), outputs(change, request)
         diff = [name for name in before if before[name] != after[name]]
         if diff:
             differing += 1
-            print(f"differs in {', '.join(diff)}: balsum {' '.join(request)}", flush=True)
+            print(f"differs in {', '.join(diff)}: balsum {' '.join(request)}")
+            for name in diff:
+                line, old, new = first_difference(before[name], after[name])
+                print(f"  {name} line {line}, parent: {old}\n  {name} line {line}, change: {new}")
+            sys.stdout.flush()
     print(f"{len(all_requests)} requests, {differing} differ")
     return 1 if differing else 0
 

@@ -30,8 +30,8 @@ _GENERATORS: dict[tuple[str, str], str] = {
 
 
 def _at_least(low: int) -> Callable[[str], int]:
-    """The argparse type of an integer flag whose value must be at least
-    ``low``, 0 or 1; the one check of every integer flag."""
+    """The argparse type of an integer flag whose value must be at least ``low``, 0 or 1; the one
+    check of every integer flag, worded by the bound as `arith._check_at_least` words it."""
 
     def parse(text: str) -> int:
         try:
@@ -39,8 +39,7 @@ def _at_least(low: int) -> Callable[[str], int]:
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
-            bound = "non-negative" if value < 0 else "positive"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {'positive' if low else 'non-negative'}, got {value}")
         return value
 
     return parse

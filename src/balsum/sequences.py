@@ -132,20 +132,19 @@ def _mat_mul(x: Mat2, y: Mat2) -> Mat2:
 
 
 def _mat_pow(n: int) -> Mat2:
-    return _power(_STEP, n, _IDENTITY, _mat_mul)
+    """The n-th power of the step matrix; the one check of the index its two callers read."""
+    return _power(_STEP, _check_at_least("index", n, 0), _IDENTITY, _mat_mul)
 
 
 def balancing_fast(n: int) -> int:
     """B(n) via the n-th power of the step matrix [[6, -1], [1, 0]]; O(log n);
     a test oracle for :func:`balancing_pair`, and ``balsum gen --method fast``."""
-    _check_at_least("index", n, 0)
     return _mat_pow(n)[1][0]
 
 
 def lucas_balancing_fast(n: int) -> int:
     """C(n) via the same matrix power, seeded with C(1) = 3, C(0) = 1; a test
     oracle for :func:`balancing_pair`."""
-    _check_at_least("index", n, 0)
     m = _mat_pow(n)
     return 3 * m[1][0] + m[1][1]
 

@@ -417,9 +417,35 @@ class TestVerify:
         ]
 
 
+# Every integer flag, after the other required flags of its subcommand, with
+# its bound's word and its first refused values: 0 and -2 below 1, -1 below 0.
+INTEGER_FLAGS = [
+    (["sum", "--power", "1", "--upto", "3"], "--m", "positive", ("0", "-2")),
+    (["sum", "--m", "1", "--upto", "3"], "--power", "positive", ("0", "-2")),
+    (["formula", "--power", "1"], "--m", "positive", ("0", "-2")),
+    (["formula", "--m", "1"], "--power", "positive", ("0", "-2")),
+    (["linearize"], "--power", "positive", ("0", "-2")),
+    (["gen"], "--upto", "non-negative", ("-1",)),
+    (["sum", "--m", "1", "--power", "1"], "--upto", "non-negative", ("-1",)),
+    (["verify"], "--odd-max-l", "non-negative", ("-1",)),
+    (["verify"], "--even-max-l", "non-negative", ("-1",)),
+    (["verify"], "--lemma-max-m", "non-negative", ("-1",)),
+]
+FIRST_REFUSED = [
+    pytest.param(
+        [*argv, flag, value],
+        f"balsum {argv[0]}: error: argument {flag}: must be {bound}, got {value}",
+        id=f"{argv[0]} {flag} {value}",
+    )
+    for argv, flag, bound, values in INTEGER_FLAGS
+    for value in values
+]
+
+
 class TestUsageMessages:
-    """One integer flag type writes every integer flag's message, and bounds
-    that select no case to verify are a usage error too."""
+    """One integer flag type writes every integer flag's message, its word
+    that of the flag's bound, and bounds that select no case to verify are a
+    usage error too."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -427,12 +453,13 @@ class TestUsageMessages:
             (["gen", "--upto", "-1"], "balsum gen: error: argument --upto: must be non-negative, got -1"),
             (["sum", "--m", "0", "--power", "1", "--upto", "3"], "balsum sum: error: argument --m: must be positive, got 0"),
             (["linearize", "--power", "x"], "balsum linearize: error: argument --power: not an integer: 'x'"),
-            (["formula", "--m", "1", "--power", "-2"], "balsum formula: error: argument --power: must be non-negative, got -2"),
+            (["formula", "--m", "1", "--power", "-2"], "balsum formula: error: argument --power: must be positive, got -2"),
             (["verify", "--lemma-max-m", "1.5"], "balsum verify: error: argument --lemma-max-m: not an integer: '1.5'"),
             (["verify", "--even-max-l", "0"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
             (["verify", "--lemma-max-m", "0"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
             (["verify", "--lemma-max-m", "1"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
             (["verify", "--even-max-l", "0", "--lemma-max-m", "1"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
+            *FIRST_REFUSED,
         ],
     )
     def test_message(self, capsys, argv, message):
