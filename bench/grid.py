@@ -70,27 +70,25 @@ from time import perf_counter
 from typing import Callable, TypeVar
 
 import balsum
-from balsum.arith import _text
-from balsum.field import ALPHA, QuadElem
-from balsum.laurent import (
+from balsum import (
+    ALPHA,
     LaurentPoly,
+    QuadElem,
+    balancing,
+    balancing_binet,
+    balancing_fast,
+    brute_force_power_sum,
+    power_sum,
+    power_sum_formula,
+    sequence_table,
+    shifted_closed_sum,
     verify_even_power_identity,
     verify_odd_power_identity,
     verify_power_sum_formula,
     verify_subsequence_recurrence,
 )
-from balsum.sequences import (
-    balancing,
-    balancing_binet,
-    balancing_fast,
-    balancing_pair,
-    brute_force_power_sum,
-    decimal_table,
-    power_sum,
-    sequence_table,
-    shifted_closed_sum,
-)
-from balsum.summation import power_sum_formula
+from balsum.arith import _text
+from balsum.sequences import balancing_pair, decimal_table
 
 T = TypeVar("T")
 

@@ -8,17 +8,20 @@ occur exactly once in that file, replaced by its new text.  For each mutant,
 src/, tests/, perfbench/, pyproject.toml (the pytest settings) and README.md
 (whose examples tests/test_cli.py runs) are copied into a new temporary
 directory, the edit is made in the copy alone, and pytest runs the mutant's
-tests with -x -q --hypothesis-seed=0.  The mutant is killed when pytest
-reports a failed test (exit code 1) and survives when every test passes.
+tests with -x -q --hypothesis-seed=0.  The outcome is read from pytest's
+summary line, since pytest exits 1 on an error (a fixture that raises, say)
+as on a failed test: the mutant is killed when pytest reports a failed test
+and no error, and survives when every test passes.
 The identity mutant runs first: its new text is its old text, and it runs
 every test file the list names.  It must survive, or the copy fails those
 tests without any mutation and no kill means anything.
 
 One line is printed per mutant.  The exit code is 1 if any mutant survives,
 if any old text does not occur exactly once, if the identity mutant is
-killed, or if pytest ends any other way (a collection error, a timeout); 0
-otherwise.  Each mutant names only the test files, or test ids, that should
-catch it, which keeps the whole run under a minute.
+killed, or if pytest ends any other way (an error, a timeout), and then
+the tail of pytest's report is printed; 0 otherwise.  Each mutant names only
+the test files, or test ids, that should catch it, which keeps the whole run
+to about a minute.
 
 A surviving mutant is a gap in the tests: it stays on the list, and the tests
 are mended.  A change that moves the mutated code updates its entry here.
@@ -29,6 +32,7 @@ project's test extra.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -128,6 +132,17 @@ MUTANTS = (
         'return list(islice(_recurrence("B"), 1, count + 1))',
         ("tests/test_sequences.py",),
     ),
+    # The Laurent proofs take ALPHA**o from arith, not from the doubling pair
+    # that the even forms' coefficients read.
+    Mutant(
+        "encode reads ALPHA**o from the doubling pair",
+        "src/balsum/laurent.py",
+        "(num, den), (x, y) = coeff.as_integer_ratio(), _alpha_power(o)\n",
+        "from .sequences import balancing_pair\n\n"
+        "        b, c = balancing_pair(abs(o))\n"
+        "        (num, den), (x, y) = coeff.as_integer_ratio(), (c, 2 * b if o >= 0 else -2 * b)\n",
+        ("tests/test_laurent.py::test_even_verifier_reads_no_doubling_pair",),
+    ),
     # The word of a flag's bound, the matrix oracles' one index check, and the
     # benchmark tracer's span of the brute-force oracle.
     Mutant(
@@ -186,11 +201,16 @@ def run(mutant: Mutant) -> str:
             )
         except subprocess.TimeoutExpired:
             return f"timed out after {TIMEOUT_S} s"
-    outcome = {0: "survived", 1: "killed"}.get(done.returncode)
-    if outcome is None:
-        print(done.stdout[-2000:], done.stderr[-2000:], sep="\n", file=sys.stderr)
-        return f"pytest exit {done.returncode}"
-    return outcome
+    lines = done.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    # "1 failed, 3 passed in 0.5s" -> {"failed": 1, "passed": 3}; "errors" -> "error".
+    counts = {word.removesuffix("s"): int(n) for n, word in re.findall(r"(\d+) (\w+)", summary)}
+    if done.returncode == 0:
+        return "survived"
+    if done.returncode == 1 and counts.get("failed") and not counts.get("error"):
+        return "killed"
+    print(done.stdout[-2000:], done.stderr[-2000:], sep="\n", file=sys.stderr)
+    return f"pytest exit {done.returncode}: {summary or 'no summary'}"
 
 
 def main() -> int:

@@ -232,7 +232,11 @@ def encode(bterms: Iterable[tuple[RatLike, int, int]], constant: RatLike = 0) ->
 
     With ALPHA**o = x + y*sqrt 2 and BETA**o its conjugate, a term puts
     coeff*(2y + x*sqrt 2)/8 at X**s and coeff*(2y - x*sqrt 2)/8 at X**-s, as
-    the integer terms :func:`_canonical` reads.
+    the integer terms :func:`_canonical` reads.  ALPHA**o comes from
+    :func:`~balsum.arith._alpha_power` and not from
+    :func:`~balsum.sequences.balancing_pair`, which the even forms'
+    coefficients read: a pair wrong the same way in both would cancel out of
+    every even-power proof.
     """
     terms = []
     for coeff, s, o in bterms:

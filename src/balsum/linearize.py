@@ -45,7 +45,7 @@ def _affine_value(constant: Fraction, linear: RatLike, bterms: Sequence[BTerm], 
     """
     _check_at_least("index", n, 0)
     start = constant + linear * (n + 1)
-    den = lcm(start.denominator, *(coeff.denominator for coeff, _, _ in bterms))
+    den = lcm(start.denominator, *{coeff.denominator for coeff, _, _ in bterms})
     folded: dict[int, tuple[int, int]] = {}
     for coeff, stride, offset in bterms:
         b_o, c_o = _signed_pair(offset)

@@ -1,11 +1,13 @@
 """Test-session settings: write no bytecode cache, in this process or in the
 subprocesses the CLI tests start, so a test run leaves the tree as it found it;
 run Hypothesis without its explain phase.  Fixtures that set the interpreter's
-int/str digit limit for one test."""
+int/str digit limit for one test, and the environment of a fresh interpreter
+that imports this checkout's balsum."""
 
 import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
@@ -20,6 +22,14 @@ settings.register_profile(
     "no-explain", parent=settings.default, phases=[phase for phase in Phase if phase is not Phase.explain]
 )
 settings.load_profile("no-explain")
+
+
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
 
 # The interpreter's default int/str digit limit.  Python 3.10 before 3.10.7
 # has no limit: there it reads 0, and the fixtures below change nothing.

@@ -9,26 +9,23 @@ Criteria 1, 2 and 6 carry wall-clock ceilings and assert them.
 import time
 from fractions import Fraction
 
-from balsum.cli import main
-from balsum.laurent import (
-    verify_even_power_identity,
-    verify_odd_power_identity,
-    verify_subsequence_recurrence,
-)
-from balsum.linearize import LinearForm, linearize
-from balsum.sequences import (
+from balsum import (
+    LinearForm,
     balancing,
     balancing_binet,
     balancing_fast,
     brute_force_power_sum,
     closed_sum,
+    gf_coefficients,
+    linearize,
     lucas_balancing,
     power_sum,
-)
-from balsum.summation import (
-    gf_coefficients,
     subsequence_gf_check,
+    verify_even_power_identity,
+    verify_odd_power_identity,
+    verify_subsequence_recurrence,
 )
+from balsum.cli import main
 
 GOLDEN = [0, 1, 6, 35, 204, 1189, 6930, 40391, 235416, 1372105, 7997214]
 

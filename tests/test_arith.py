@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import balsum
 from balsum import sequences
-from balsum.arith import InexactResultError, _exact, _power, _rational, _text
-from balsum.field import ALPHA, BETA, FOUR_SQRT2, SQRT2, QuadElem
+from balsum import ALPHA, BETA, FOUR_SQRT2, SQRT2, InexactResultError, QuadElem
+from balsum.arith import _exact, _power, _rational, _text
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 quad_elems = st.builds(QuadElem, small_rationals, small_rationals)

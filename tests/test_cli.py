@@ -21,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsum import laurent, sequences
+from balsum import ClosedSumExpr, power_sum_formula, sequence_table
 from balsum.cli import build_parser, dump_json, main
-from balsum.sequences import balancing_pair, sequence_table
-from balsum.summation import ClosedSumExpr, power_sum_formula
-from conftest import get_digit_limit
+from balsum.sequences import balancing_pair
+from conftest import get_digit_limit, src_env
 
 
 def run_cli(capsys, argv):
@@ -609,14 +609,6 @@ class TestOverDigitLimit:
                 assert max(len(str(c.denominator)) for c, _, _ in expr.bterms) > 4300
 
 
-def _env_with_src():
-    """The environment with this checkout's src first on PYTHONPATH, for a
-    fresh interpreter."""
-    src = str(Path(__file__).parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
-
-
 class TestDigitLimitLeftAlone:
     """Every number is written without the int/str digit limit, so the CLI
     never sets it, and its output does not depend on it."""
@@ -644,7 +636,7 @@ class TestDigitLimitLeftAlone:
     )
     def test_same_bytes_under_the_smallest_limit(self, argv):
         # 640 digits is the smallest limit the interpreter accepts.
-        env = _env_with_src()
+        env = src_env()
         env.pop("PYTHONINTMAXSTRDIGITS", None)
         runs = [
             subprocess.run(
@@ -666,7 +658,7 @@ class TestReaderLeavesEarly:
         return subprocess.Popen(
             [sys.executable, "-m", "balsum", *argv],
             stderr=subprocess.PIPE,
-            env=_env_with_src(),
+            env=src_env(),
             **kwargs,
         )
 
@@ -716,7 +708,7 @@ class TestProcessEntryFreezes:
         return subprocess.run(
             [sys.executable, "-c", _FROZEN_AT_EXIT + body, *argv],
             stderr=subprocess.PIPE,
-            env=_env_with_src(),
+            env=src_env(),
             timeout=120,
             **kwargs,
         )
@@ -787,7 +779,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(argv, unloaded):
         "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))"
     )
     command = [sys.executable, "-c", script, *argv]
-    run = subprocess.run(command, env=_env_with_src(), capture_output=True, text=True, check=True)
+    run = subprocess.run(command, env=src_env(), capture_output=True, text=True, check=True)
     loaded = run.stderr.split()
     assert "balsum.cli" in loaded
     assert not ({"dataclasses", "inspect"} | unloaded) & set(loaded)
@@ -809,7 +801,7 @@ def _loaded_by(argv):
         "balsum.cli.main(sys.argv[1:])\n"
         "sys.stderr.write(' '.join(name for name in sys.modules if name.split('.')[0] in ('balsum', 'fractions')))"
     )
-    run = subprocess.run([sys.executable, "-c", script, *argv], env=_env_with_src(), capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", script, *argv], env=src_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     return set(run.stderr.split())
 

@@ -6,8 +6,7 @@ written must leave all three unchanged, or say so by updating the pins."""
 import hashlib
 import json
 
-from balsum.linearize import linearize
-from balsum.summation import power_sum_formula
+from balsum import linearize, power_sum_formula
 
 # sha256 over the concatenated hex digests of the forms, in the order of
 # _emitted_forms.

@@ -1,18 +1,19 @@
 """The public surface of the `balsum` package, each case in a fresh interpreter.
 
-Under pytest every case runs in its own process.  Run as a script, the file
-checks every case the same way with the interpreter that runs it, so the
-surface can be checked on interpreters without pytest:
-
-    PYTHONPATH=src python tests/test_exports.py
+Every case runs in its own process: this file run as a script with the case
+as its one argument.  HOMES is the one pin of where each public name lives;
+tests and bench read public names through the package, which a guard test
+keeps so.
 """
 
+import ast
 import importlib
-import os
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # Every public name of `balsum`, under the module that defines it.
 HOMES = {
@@ -143,23 +144,33 @@ def check(case):
             assert importlib.import_module("balsum.linearize") is sys.modules["balsum.linearize"]
 
 
-def run_case(case):
-    """Check ``case`` in a fresh interpreter with this checkout's src on its path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, __file__, case], env=env, capture_output=True, text=True)
-
-
 def test_public_surface():
-    failed = {case: run.stderr for case in FIRST_STATEMENT if (run := run_case(case)).returncode}
+    # conftest loads pytest and hypothesis, so it is imported here and never
+    # by a case's fresh interpreter, which must load nothing but balsum.
+    from conftest import src_env
+
+    failed = {}
+    for case in FIRST_STATEMENT:
+        run = subprocess.run([sys.executable, __file__, case], env=src_env(), capture_output=True, text=True)
+        if run.returncode:
+            failed[case] = run.stderr
     assert not failed
 
 
+def test_tests_and_bench_read_public_names_from_the_package():
+    # `_EXPORTS` states a public name's home and HOMES pins it; a test or a
+    # bench script that imports the name from its module would have to change
+    # whenever the name moves.  Private names and patched modules are exempt.
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: from {node.module} import {alias.name}"
+        for path in sorted([*ROOT.glob("tests/**/*.py"), *ROOT.glob("bench/**/*.py")])
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").startswith("balsum.")
+        for alias in node.names
+        if alias.name in PUBLIC_NAMES
+    ]
+    assert not found
+
+
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        check(sys.argv[1])
-    else:
-        failures = [case for case in FIRST_STATEMENT if run_case(case).returncode]
-        print(f"{sys.version.split()[0]}: {len(FIRST_STATEMENT) - len(failures)} cases passed, failed: {failures}")
-        sys.exit(1 if failures else 0)
+    check(sys.argv[1])

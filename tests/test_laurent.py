@@ -1,26 +1,34 @@
-import os
+import importlib
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from balsum import laurent, summation
-from balsum.field import ALPHA, QUAD_ONE, QUAD_ZERO, QuadElem
-from balsum.laurent import (
+from balsum import laurent, sequences, summation
+from balsum import (
+    ALPHA,
+    ClosedSumExpr,
+    GFParams,
     LaurentPoly,
-    encode,
+    LinearForm,
+    QuadElem,
+    balancing,
+    gf_params,
+    linearize,
+    linearize_even,
+    linearize_odd,
+    power_sum_formula,
     verify_even_power_identity,
     verify_odd_power_identity,
     verify_power_sum_formula,
     verify_subsequence_recurrence,
 )
-from balsum.linearize import LinearForm, linearize, linearize_even, linearize_odd
-from balsum.sequences import balancing
-from balsum.summation import ClosedSumExpr, GFParams, gf_params, power_sum_formula
+from balsum.field import QUAD_ONE, QUAD_ZERO
+from balsum.laurent import encode
+from conftest import src_env
 
 X = LaurentPoly.monomial(1)
 X_INV = LaurentPoly.monomial(-1)
@@ -193,9 +201,7 @@ def test_coefficient_methods_load_the_field_themselves(expression):
         "assert 'balsum.field' not in sys.modules\n"
         "print(repr(eval(sys.argv[1])))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script, expression], env=env, capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-c", script, expression], env=src_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout == _COEFFICIENT_CASES[expression] + "\n"
 
@@ -319,6 +325,22 @@ def test_even_verifier_rejects_unscaled_constant(monkeypatch):
     literal = LinearForm(form.power, Fraction(-2), form.terms)
     monkeypatch.setattr(laurent, "linearize_even", lambda l: literal)
     assert not verify_even_power_identity(1)
+
+
+def test_even_verifier_reads_no_doubling_pair(monkeypatch):
+    # The even forms' coefficients read balancing_pair; were ALPHA**o in
+    # encode read from it too, a pair wrong the same way on both sides would
+    # cancel out of the proof.  Here B of the pair is doubled.
+    pair = sequences.balancing_pair
+
+    def doubled(n):
+        b, c = pair(n)
+        return 2 * b, c
+
+    monkeypatch.setattr(sequences, "balancing_pair", doubled)
+    monkeypatch.setattr(importlib.import_module("balsum.linearize"), "balancing_pair", doubled)
+    for l in range(1, 4):
+        assert not verify_even_power_identity(l)
 
 
 def test_recurrence_verifier_rejects_wrong_middle(monkeypatch):

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balsum import laurent
-from balsum.field import ALPHA, QUAD_ZERO, SQRT2, QuadElem
-from balsum.laurent import LaurentPoly, encode
+from balsum import ALPHA, SQRT2, LaurentPoly, QuadElem
+from balsum.field import QUAD_ZERO
+from balsum.laurent import encode
 from test_laurent import dict_product, rational_coefficients, sparse_polys
 
 ZERO_FORM = ({}, 1)

@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balsum.arith import InexactResultError
-from balsum.linearize import LinearForm, _affine_value, linearize, linearize_even, linearize_odd
-from balsum.sequences import balancing, balancing_pair, sequence_table
-from balsum.summation import power_sum_formula
+from balsum import (
+    InexactResultError,
+    LinearForm,
+    balancing,
+    linearize,
+    linearize_even,
+    linearize_odd,
+    power_sum_formula,
+    sequence_table,
+)
+from balsum.linearize import _affine_value
+from balsum.sequences import balancing_pair
 
 
 def test_odd_l0_is_identity():

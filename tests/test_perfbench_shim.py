@@ -10,48 +10,39 @@ must still run to the end under both modes of the shim.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = 6
-
-
-@pytest.mark.parametrize("seq, method", [("B", "fast"), ("B", "binet"), ("C", "fast"), ("C", "binet")])
-def test_each_row_is_one_sequences_span(tmp_path, seq, method):
-    out = tmp_path / "spans.json"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    argv = ["gen", "--upto", str(ROWS - 1), "--seq", seq, "--method", method]
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "shim.py"), "spans", str(out), "--", *argv],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    assert len(run.stdout.splitlines()) == ROWS
-    layers = [(layer, name) for layer, name, *_ in json.loads(out.read_text())["spans"]]
-    generator = {"B": "balancing", "C": "lucas_balancing"}[seq] + "_" + method
-    assert layers == [("cli", "main")] + [("sequences", generator)] * ROWS
 
 
 def run_shim(tmp_path, mode, argv):
     """Run one request through perfbench/shim.py; the process and its record."""
     out = tmp_path / f"{mode}.json"
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "shim.py"), mode, str(out), "--", *argv],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     return run, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("seq, method", [("B", "fast"), ("B", "binet"), ("C", "fast"), ("C", "binet")])
+def test_each_row_is_one_sequences_span(tmp_path, seq, method):
+    run, record = run_shim(tmp_path, "spans", ["gen", "--upto", str(ROWS - 1), "--seq", seq, "--method", method])
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout.splitlines()) == ROWS
+    layers = [(layer, name) for layer, name, *_ in record["spans"]]
+    generator = {"B": "balancing", "C": "lucas_balancing"}[seq] + "_" + method
+    assert layers == [("cli", "main")] + [("sequences", generator)] * ROWS
 
 
 @pytest.mark.parametrize(
@@ -68,11 +59,13 @@ def run_shim(tmp_path, mode, argv):
             id="sum-oracle",
         ),
         pytest.param(["linearize", "--power", "5"], ("linearize", "linearize"), id="linearize"),
+        pytest.param(["formula", "--m", "3", "--power", "4"], ("summation", "power_sum_formula"), id="formula"),
     ],
 )
 def test_proofs_and_sums_run_under_both_modes(tmp_path, argv, span):
     # ``span`` is the (layer, function) the request must trace: for `sum
-    # --oracle` the oracle's own, which the `power_sum` span would not show.
+    # --oracle` the oracle's own, which the `power_sum` span would not show;
+    # for `formula` the `summation` layer's, which no other request pins.
     run, record = run_shim(tmp_path, "spans", argv)
     assert run.returncode == 0, run.stderr
     assert span in {(layer, name) for layer, name, *_ in record["spans"]}

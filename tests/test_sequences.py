@@ -5,21 +5,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences
-from balsum.arith import InexactResultError
-from balsum.field import ALPHA
-from balsum.sequences import (
+from balsum import (
+    ALPHA,
+    InexactResultError,
     balancing,
     balancing_binet,
     balancing_fast,
-    balancing_pair,
     brute_force_power_sum,
-    decimal_table,
+    gf_coefficients,
     lucas_balancing,
     lucas_balancing_binet,
     lucas_balancing_fast,
     sequence_table,
 )
-from balsum.summation import gf_coefficients
+from balsum.sequences import balancing_pair, decimal_table
 
 # A001109, first eleven terms.
 GOLDEN_B = [0, 1, 6, 35, 204, 1189, 6930, 40391, 235416, 1372105, 7997214]

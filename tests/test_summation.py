@@ -8,25 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsum import sequences, summation
-from balsum.arith import InexactResultError
-from balsum.field import QuadElem
-from balsum.linearize import LinearForm, linearize
-from balsum.sequences import (
-    balancing,
-    balancing_pair,
-    brute_force_power_sum,
-    closed_sum,
-    lucas_balancing,
-    power_sum,
-    shifted_closed_sum,
-)
-from balsum.summation import (
+from balsum import (
     ClosedSumExpr,
     GFParams,
+    InexactResultError,
+    LinearForm,
+    QuadElem,
+    balancing,
+    brute_force_power_sum,
+    closed_sum,
     gf_params,
+    linearize,
+    lucas_balancing,
+    power_sum,
     power_sum_formula,
+    shifted_closed_sum,
     subsequence_gf_check,
 )
+from balsum.sequences import balancing_pair
 
 
 def test_gf_params_values():
