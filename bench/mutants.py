@@ -84,10 +84,7 @@ MUTANTS = (
         "src/balsum/sequences.py",
         '("l", l, 1), ("r", r, 0)):',
         '("l", l, 1)):',
-        (
-            "tests/test_summation.py::test_argument_validation",
-            "tests/test_arith.py::test_argument_error_messages",
-        ),
+        ("tests/test_arith.py::test_argument_error_messages",),
     ),
     # Mutations the change log claims the tests catch.
     Mutant(
@@ -143,13 +140,21 @@ MUTANTS = (
         "        (num, den), (x, y) = coeff.as_integer_ratio(), (c, 2 * b if o >= 0 else -2 * b)\n",
         ("tests/test_laurent.py::test_even_verifier_reads_no_doubling_pair",),
     ),
-    # The word of a flag's bound, the matrix oracles' one index check, and the
-    # benchmark tracer's span of the brute-force oracle.
+    # The word of a flag's bound, the size refusal of a flag over the digit
+    # limit, the matrix oracles' one index check, and the benchmark tracer's
+    # span of the brute-force oracle.
     Mutant(
         "a flag's bound word chosen by its value",
         "src/balsum/cli.py",
         "{'positive' if low else 'non-negative'}",
         "{'non-negative' if value < 0 else 'positive'}",
+        ("tests/test_cli.py::TestUsageMessages",),
+    ),
+    Mutant(
+        "a flag over the digit limit is not an integer",
+        "src/balsum/cli.py",
+        "if 0 < limit < digits and",
+        "if False and",
         ("tests/test_cli.py::TestUsageMessages",),
     ),
     Mutant(

@@ -37,6 +37,11 @@ def _at_least(low: int) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
+            import re
+
+            digits, limit = sum(map(str.isdigit, text)), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if 0 < limit < digits and re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+                raise argparse.ArgumentTypeError(f"must have at most {limit} digits, got {digits}")
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be {'positive' if low else 'non-negative'}, got {value}")

@@ -1,3 +1,4 @@
+import ast
 import decimal
 import operator
 import re
@@ -5,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -91,10 +93,6 @@ class TestQuadElem:
         for n in range(8):
             assert ALPHA**n == acc
             acc = acc * ALPHA
-
-    def test_pow_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ALPHA ** (-1)
 
     def test_alpha_minus_beta(self):
         assert ALPHA - BETA == FOUR_SQRT2
@@ -389,6 +387,24 @@ ARGUMENT_ERRORS = [
     (lambda: balsum.balancing(-2.5), "index must be an integer, got -2.5"),
     (lambda: balsum.power_sum(1, 0, 5), "l must be positive, got 0"),
     (lambda: balsum.ALPHA**-1, "exponent must be non-negative, got -1"),
+    (lambda: balsum.LaurentPoly.monomial(1) ** -1, "exponent must be non-negative, got -1"),
+    (lambda: balsum.lucas_balancing(-1), "index must be non-negative, got -1"),
+    (lambda: balsum.balancing_fast(-1), "index must be non-negative, got -1"),
+    (lambda: balsum.balancing_binet(-1), "index must be non-negative, got -1"),
+    (lambda: balsum.sequence_table(-1), "index must be non-negative, got -1"),
+    (lambda: balsum.sequence_table(5, "X"), "seq must be 'B' or 'C', got 'X'"),
+    (lambda: list(sequences.decimal_table(5, "X")), "seq must be 'B' or 'C', got 'X'"),
+    (lambda: list(sequences.decimal_table(-1)), "index must be non-negative, got -1"),
+    (lambda: balsum.closed_sum(0, 3), "m must be positive, got 0"),
+    (lambda: balsum.closed_sum(1, -1), "index must be non-negative, got -1"),
+    (lambda: balsum.shifted_closed_sum(0, 0, 0), "m must be positive, got 0"),
+    (lambda: balsum.shifted_closed_sum(1, 0, -1), "index must be non-negative, got -1"),
+    (lambda: balsum.power_sum(1, 1, -1), "index must be non-negative, got -1"),
+    (lambda: balsum.power_sum(0, 1, 5), "m must be positive, got 0"),
+    (lambda: balsum.verify_odd_power_identity(-1), "l must be non-negative, got -1"),
+    (lambda: balsum.verify_even_power_identity(0), "l must be positive, got 0"),
+    (lambda: balsum.verify_power_sum_formula(0, 1), "m must be positive, got 0"),
+    (lambda: balsum.verify_power_sum_formula(1, 0), "l must be positive, got 0"),
 ]
 
 # Each integer argument, by an entry point that reads it, under its name; a
@@ -414,12 +430,14 @@ INTEGER_ARGUMENTS = [
     (lambda x: balsum.closed_sum(2, x), "index"),
     (lambda x: balsum.shifted_closed_sum(x, 1, 3), "m"),
     (lambda x: balsum.shifted_closed_sum(2, x, 3), "r"),
+    (lambda x: balsum.shifted_closed_sum(1, 0, x), "index"),
     (lambda x: balsum.brute_force_power_sum(x, 1, 1), "m"),
     (lambda x: balsum.brute_force_power_sum(1, x, 1), "l"),
     (lambda x: balsum.brute_force_power_sum(1, 1, x), "n"),
     (lambda x: balsum.power_sum_formula(x, 2), "m"),
     (lambda x: balsum.power_sum_formula(2, x), "l"),
     (lambda x: balsum.power_sum(x, 3, 4), "m"),
+    (lambda x: balsum.power_sum(1, x, 5), "l"),
     (lambda x: balsum.power_sum(1, 1, x), "index"),
     (balsum.verify_odd_power_identity, "l"),
     (balsum.verify_even_power_identity, "l"),
@@ -444,6 +462,22 @@ ARGUMENT_ERRORS += [
 def test_argument_error_messages(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_every_value_error_is_pinned_by_its_message():
+    # A bare pytest.raises(ValueError) passes on any refusal, the wrong one
+    # too: each refusal's test names its message, in the table above, in
+    # test_cli's TestUsageMessages or in test_summation's reader tables.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).resolve().parent.glob("**/*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "pytest.raises"
+        and [ast.unparse(arg) for arg in node.args] == ["ValueError"]
+        and not any(keyword.arg == "match" for keyword in node.keywords)
+    ]
+    assert not found, " ".join(found)
 
 
 def test_argument_error_message_over_digit_limit(default_digit_limit):

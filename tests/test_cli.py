@@ -157,11 +157,6 @@ class TestGen:
         assert code == 0
         assert out == gen_document("B", "recurrence", 5000)
 
-    def test_negative_upto_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["gen", "--upto", "-1"])
-        assert excinfo.value.code == 2
-
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("method", ["recurrence", "fast", "binet"])
     @pytest.mark.parametrize("seq", ["B", "C"])
@@ -233,11 +228,6 @@ class TestLinearize:
         assert data["power"] == 4
         assert [t["multiplier"] for t in data["terms"]] == [4, 4, 2, 2]
         assert [t["shift"] for t in data["terms"]] == [0, 1, 0, 1]
-
-    def test_power_zero_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["linearize", "--power", "0"])
-        assert excinfo.value.code == 2
 
 
 class TestSum:
@@ -314,11 +304,6 @@ class TestSum:
         assert lines[0] == "m,power,upto,sum,oracle,match"
         assert lines[1].endswith(",true")
 
-    def test_zero_m_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sum", "--m", "0", "--power", "1", "--upto", "3"])
-        assert excinfo.value.code == 2
-
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_oracle_mismatch_exits_one(self, capsys, monkeypatch, fmt):
         # 1 + 6 + 35 + 204 + 1189 = 1435; the closed form is made off by one.
@@ -362,11 +347,6 @@ class TestFormula:
             {"coeff": "1/4", "stride": 1, "offset": 1},
             {"coeff": "-1/4", "stride": 1, "offset": 0},
         ]
-
-    def test_bad_power_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["formula", "--m", "1", "--power", "-2"])
-        assert excinfo.value.code == 2
 
 
 class TestVerify:
@@ -450,19 +430,29 @@ class TestUsageMessages:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["gen", "--upto", "-1"], "balsum gen: error: argument --upto: must be non-negative, got -1"),
             (["sum", "--m", "0", "--power", "1", "--upto", "3"], "balsum sum: error: argument --m: must be positive, got 0"),
             (["linearize", "--power", "x"], "balsum linearize: error: argument --power: not an integer: 'x'"),
-            (["formula", "--m", "1", "--power", "-2"], "balsum formula: error: argument --power: must be positive, got -2"),
             (["verify", "--lemma-max-m", "1.5"], "balsum verify: error: argument --lemma-max-m: not an integer: '1.5'"),
             (["verify", "--even-max-l", "0"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
             (["verify", "--lemma-max-m", "0"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
             (["verify", "--lemma-max-m", "1"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
             (["verify", "--even-max-l", "0", "--lemma-max-m", "1"], "balsum verify: error: no case to check: even l starts at 1, lemma m at 2"),
             *FIRST_REFUSED,
+            # Over the int/str digit limit, by the size; negative, so that an
+            # interpreter without the limit refuses the value too.
+            pytest.param(
+                ["linearize", "--power", "-" + "9" * 4301],
+                "balsum linearize: error: argument --power: must have at most 4300 digits, got 4301",
+                id="linearize --power 4301 digits",
+            ),
+            pytest.param(
+                ["sum", "--m", "1", "--power", "1", "--upto", "-" + "9" * 5000],
+                "balsum sum: error: argument --upto: must have at most 4300 digits, got 5000",
+                id="sum --upto 5000 digits",
+            ),
         ],
     )
-    def test_message(self, capsys, argv, message):
+    def test_message(self, capsys, default_digit_limit, argv, message):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         captured = capsys.readouterr()
@@ -769,20 +759,10 @@ class TestProcessEntryFreezes:
     ],
 )
 def test_cli_import_loads_neither_dataclasses_nor_inspect(argv, unloaded):
-    # Each request loads only the layers it runs.  Diff against a snapshot, so
-    # a module a site hook loaded first (such as typing) is not counted.
-    script = (
-        "import sys; before = set(sys.modules); import balsum.cli\n"
-        "if sys.argv[1:]:\n"
-        "    try: balsum.cli.main(sys.argv[1:])\n"
-        "    except SystemExit: pass\n"
-        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    command = [sys.executable, "-c", script, *argv]
-    run = subprocess.run(command, env=src_env(), capture_output=True, text=True, check=True)
-    loaded = run.stderr.split()
+    # Each request loads only the layers it runs.
+    loaded = _loaded_by(argv)
     assert "balsum.cli" in loaded
-    assert not ({"dataclasses", "inspect"} | unloaded) & set(loaded)
+    assert not ({"dataclasses", "inspect"} | unloaded) & loaded
     if argv in ([], ["--help"]):
         # No library module: the package and its front end alone.
         assert {name for name in loaded if name.split(".")[0] == "balsum"} == {"balsum", "balsum.cli"}
@@ -794,28 +774,37 @@ _INTEGER_LAYER = {"balsum", "balsum.arith", "balsum.cli", "balsum.sequences"}
 
 
 def _loaded_by(argv):
-    """The balsum modules, and `fractions` if loaded, after ``argv`` runs in a
-    fresh interpreter."""
+    """The modules that importing `balsum.cli`, then running ``argv`` unless it
+    is empty, loads in a fresh interpreter.  A diff against a snapshot taken
+    first, so a module a site hook loaded (such as typing) is not counted; an
+    exit of argparse's, as `--help` makes, ends the request and not the probe."""
     script = (
-        "import sys, balsum.cli\n"
-        "balsum.cli.main(sys.argv[1:])\n"
-        "sys.stderr.write(' '.join(name for name in sys.modules if name.split('.')[0] in ('balsum', 'fractions')))"
+        "import sys; before = set(sys.modules); import balsum.cli\n"
+        "if sys.argv[1:]:\n"
+        "    try: balsum.cli.main(sys.argv[1:])\n"
+        "    except SystemExit: pass\n"
+        "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))"
     )
     run = subprocess.run([sys.executable, "-c", script, *argv], env=src_env(), capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     return set(run.stderr.split())
 
 
+def _layers(argv):
+    """The balsum modules, and `fractions` if loaded, that ``argv`` loads."""
+    return {name for name in _loaded_by(argv) if name.split(".")[0] in ("balsum", "fractions")}
+
+
 @pytest.mark.parametrize("oracle", [pytest.param([], id="sum"), pytest.param(["--oracle"], id="sum-oracle")])
 def test_sum_loads_no_form_code_without_the_oracle(oracle):
     # `sum` evaluates the Binet sum of `sequences`, and `--oracle` the
     # brute-force walk beside it: neither loads the forms.
-    assert _loaded_by(["sum", "--m", "2", "--power", "5", "--upto", "30", *oracle]) == _INTEGER_LAYER
+    assert _layers(["sum", "--m", "2", "--power", "5", "--upto", "30", *oracle]) == _INTEGER_LAYER
 
 
 @pytest.mark.parametrize("method", ["recurrence", "fast", "binet"])
 def test_gen_loads_only_the_integer_layer(method):
-    assert _loaded_by(["gen", "--upto", "30", "--method", method]) == _INTEGER_LAYER
+    assert _layers(["gen", "--upto", "30", "--method", method]) == _INTEGER_LAYER
 
 
 # What a symbolic request loads on top of the integer layer: the form code,
@@ -838,4 +827,4 @@ _FORMS = _INTEGER_LAYER | {"balsum.linearize", "fractions"}
     ],
 )
 def test_symbolic_requests_load_no_field(argv, loaded):
-    assert _loaded_by(argv) == loaded
+    assert _layers(argv) == loaded

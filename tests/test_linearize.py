@@ -67,15 +67,6 @@ def test_dispatch():
     assert linearize(1).terms == (((1, 0), Fraction(1)),)
 
 
-def test_power_zero_rejected():
-    with pytest.raises(ValueError):
-        linearize(0)
-    with pytest.raises(ValueError):
-        linearize_even(0)
-    with pytest.raises(ValueError):
-        linearize_odd(-1)
-
-
 def test_oracle_equivalence():
     for power in range(1, 9):
         form = linearize(power)
@@ -109,11 +100,6 @@ def test_no_zero_coefficients_stored():
     for power in range(1, 13):
         for _, coeff in linearize(power).terms:
             assert coeff != 0
-
-
-def test_negative_index_rejected():
-    with pytest.raises(ValueError):
-        linearize(2).value_at(-1)
 
 
 def test_inexact_evaluation_is_hard_error():

@@ -42,11 +42,6 @@ def test_gf_params_middle_is_twice_companion():
         assert params.middle**2 - 4 > 0
 
 
-def test_gf_params_rejects_zero():
-    with pytest.raises(ValueError):
-        gf_params(0)
-
-
 def test_subsequence_gf_check():
     assert subsequence_gf_check(1, 10)
     assert subsequence_gf_check(2, 10)
@@ -65,19 +60,6 @@ def test_subsequence_gf_check_catches_a_scaled_evaluator(monkeypatch):
     monkeypatch.setattr(sequences, "balancing_pair", scaled_pair)
     monkeypatch.setattr(summation, "balancing_pair", scaled_pair)
     assert not subsequence_gf_check(3, 10)
-
-
-def test_subsequence_gf_check_arguments():
-    with pytest.raises(ValueError):
-        subsequence_gf_check(0, 10)
-    with pytest.raises(ValueError):
-        subsequence_gf_check(2, 1)
-
-
-def test_closed_sum_spot_values():
-    assert closed_sum(1, 4) == 246  # (1189 - 204 - 1) / 4
-    assert closed_sum(1, 0) == 0
-    assert closed_sum(2, 2) == 210  # (6930 - 204 - 6) / 32
 
 
 def test_closed_sum_against_brute_force():
@@ -224,38 +206,6 @@ def test_power_sum_telescoping():
             for n in range(1, 16):
                 step = power_sum(m, l, n) - power_sum(m, l, n - 1)
                 assert step == balancing(n * m) ** l
-
-
-def test_argument_validation():
-    for bad_call in (
-        lambda: closed_sum(0, 3),
-        lambda: closed_sum(1, -1),
-        lambda: shifted_closed_sum(0, 0, 0),
-        lambda: shifted_closed_sum(1, -1, 0),
-        lambda: shifted_closed_sum(1, 0, -1),
-        lambda: power_sum(1, 1, -1),
-        lambda: power_sum(1, 0, 5),
-        lambda: power_sum(0, 1, 5),
-        lambda: brute_force_power_sum(1, 1, -2),
-    ):
-        with pytest.raises(ValueError):
-            bad_call()
-    # The same arguments, given a value whose type is not exactly int.
-    for value in (2.0, True, "2", None):
-        for call, args, name in (
-            (closed_sum, (value, 3), "m"),
-            (closed_sum, (1, value), "index"),
-            (shifted_closed_sum, (value, 0, 0), "m"),
-            (shifted_closed_sum, (1, value, 0), "r"),
-            (shifted_closed_sum, (1, 0, value), "index"),
-            (power_sum, (1, 1, value), "index"),
-            (power_sum, (1, value, 5), "l"),
-            (power_sum, (value, 1, 5), "m"),
-            (brute_force_power_sum, (1, 1, value), "n"),
-        ):
-            message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
-            with pytest.raises(ValueError, match=message):
-                call(*args)
 
 
 def test_power_sum_reads_its_index_before_the_derivation(monkeypatch):
