@@ -23,17 +23,17 @@ subsequence lemma at m = 200, and the closed power sums for every m <= 6,
 l <= 8), checking that each proof holds.  It times
 decimal output: a table of B at 0..upto for upto = 1,000, 3,000 and 7,000 as
 the int walk plus str against the exact Decimal walk of `balsum gen`,
-checking that the two agree, and one integer B(N) for N = 10**4 .. 10**5,
+checking that the two agree, and one integer B(N) for N = 10**4 .. 3*10**5,
 the case of a single large output, by str and by `arith._text`, the
-library's writer, which converts through exact Decimal to stay clear of the
-int/str digit limit, checking that the two agree.  Each entry
+library's writer, which splits an int at powers 10**(640 * 2**k) into pieces
+that no int/str digit limit refuses, checking that the two agree.  Each entry
 is the median of five calls, or the time of a single call when that takes
 over a second.  No cache is involved: power_sum derives no formula, and
 every record call derives its formula afresh, so every call is cold.
 
 Two rows run out of process.  Start-up times fresh `python -m balsum`
 processes, one small request per subcommand, `sum --oracle` and `--help`,
-against the floor `python -c "import argparse, decimal"`, what a `sum` request
+against the floor `python -c "import argparse"`, what a `sum` request
 loads outside balsum, nine of each, interleaved, run from
 a copy of the package without `__pycache__` and with
 PYTHONDONTWRITEBYTECODE=1, so every module is compiled as in the benchmark.
@@ -111,7 +111,7 @@ SMALL_MULS = 10_000
 # P = (X - 1/X)**LAURENT_POWER in the laurent_mul row.
 LAURENT_POWER = 200
 TABLE_UPTOS = (1_000, 3_000, 7_000)
-STR_INDICES = (10**4, 3 * 10**4, 10**5)
+STR_INDICES = (10**4, 3 * 10**4, 10**5, 3 * 10**5)
 STARTUP_ROUNDS = 9
 STARTUP_COMMANDS = {
     "balsum_help": ["-m", "balsum", "--help"],
@@ -124,7 +124,7 @@ STARTUP_COMMANDS = {
         "-m", "balsum", "verify", "--odd-max-l", "2", "--even-max-l", "1", "--lemma-max-m", "3",
     ],
     # What a `sum` request loads outside balsum.
-    "floor": ["-c", "import argparse, decimal"],
+    "floor": ["-c", "import argparse"],
 }
 # Reads one argument list (JSON) a line, runs `python` on it and replies with
 # [start, end, ru_maxrss in KB, exit code, stderr]: perf_counter at the spawn

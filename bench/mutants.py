@@ -111,8 +111,31 @@ MUTANTS = (
     Mutant(
         "arith imports fractions at the top",
         "src/balsum/arith.py",
-        "import decimal\nimport operator\n",
-        "import decimal\nimport fractions\nimport operator\n",
+        "import operator\nimport re\n",
+        "import fractions\nimport operator\nimport re\n",
+        ("tests/test_exports.py",),
+    ),
+    # The integer writer and reader of arith, at their joins, and the module
+    # that stays free of decimal.
+    Mutant(
+        "the writer pads a low half one digit short",
+        "src/balsum/arith.py",
+        "_digits(low).zfill(split)",
+        "_digits(low).zfill(split - 1)",
+        ("tests/test_arith.py::TestTextAndRational",),
+    ),
+    Mutant(
+        "the reader joins halves by the wrong power of ten",
+        "src/balsum/arith.py",
+        "* power + _from_digits(",
+        "* (power // 10) + _from_digits(",
+        ("tests/test_arith.py::TestTextAndRational",),
+    ),
+    Mutant(
+        "arith imports decimal at the top",
+        "src/balsum/arith.py",
+        "import operator\nimport re\n",
+        "import decimal\nimport operator\nimport re\n",
         ("tests/test_exports.py",),
     ),
     Mutant(

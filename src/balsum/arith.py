@@ -8,16 +8,13 @@ imported only inside the three functions that make one, so ``sum`` and ``gen``
 never load it.
 
 Every number the library writes or reads as text passes :func:`_text` or
-:func:`_rational`; both convert in exact ``decimal``, which never reads the
-interpreter's int/str digit limit.
+:func:`_rational`, in ints cut into pieces that no int/str digit limit refuses.
 """
 
 from __future__ import annotations
 
-import decimal
 import operator
 import re
-from functools import cache
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:
@@ -57,20 +54,37 @@ def _exact(num: int, den: int, what: str) -> int:
     return quotient
 
 
-@cache
-def _exact_context() -> decimal.Context:
-    """Built once and shared; no caller sets it or reads its flags: the largest precision and
-    exponent libmpdec allows, every rounding trapped, so a result that does not fit raises."""
-    signals = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
-    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=signals)
+# The least int/str digit limit the interpreter allows, so str and int take such a piece under any.
+_PIECE = 640
+_PIECE_POWER = 10**_PIECE
+
+
+def _split(digits: int) -> tuple[int, int]:
+    """(s, 10**s) for the largest s = 640 * 2**k below ``digits``, or s = 640; by squaring."""
+    split, power = _PIECE, _PIECE_POWER
+    while 2 * split < digits:
+        split, power = 2 * split, power * power
+    return split, power
+
+
+def _digits(n: int) -> str:
+    """What ``str`` writes of an int n >= 0, at any number of digits: from
+    10**640 on, n is split by ``divmod`` at a power 10**(640 * 2**k) below it,
+    and the low half is zero-padded to 640 * 2**k digits."""
+    if n < _PIECE_POWER:
+        return str(n)
+    # 0.3 < log10(2), so the power is below n and the high half is not 0.
+    split, power = _split(n.bit_length() * 3 // 10)
+    high, low = divmod(n, power)
+    return _digits(high) + _digits(low).zfill(split)
 
 
 def _text(value: int | Fraction) -> str:
     """What ``str`` writes of an int or Fraction, at any number of digits;
     the one writer of the library's numbers."""
-    context = _exact_context()
-    num, den = (context.to_sci_string(context.create_decimal(k)) for k in value.as_integer_ratio())
-    return num if den == "1" else f"{num}/{den}"
+    num, den = value.as_integer_ratio()
+    text = "-" * (num < 0) + _digits(abs(num))
+    return text if den == 1 else f"{text}/{_digits(den)}"
 
 
 def _repr(value: object) -> str:
@@ -93,8 +107,17 @@ def _record_repr(record: tuple) -> str:
     return f"{type(record).__name__}({fields})"
 
 
+def _from_digits(digits: str) -> int:
+    """The int a string of ASCII digits spells, at any length: at most 640 digits
+    by ``int``, and more as two halves split 640 * 2**k digits from the right."""
+    if len(digits) <= _PIECE:
+        return int(digits)
+    split, power = _split(len(digits))
+    return _from_digits(digits[:-split]) * power + _from_digits(digits[-split:])
+
+
 # The spellings _text writes; every other one is left to Fraction.
-_WRITTEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_WRITTEN = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
 def _rational(text: str | int) -> Fraction:
@@ -108,9 +131,9 @@ def _rational(text: str | int) -> Fraction:
     match = _WRITTEN.fullmatch(text) if type(text) is str else None
     if match is None:
         return Fraction(text)
-    context = _exact_context()
-    num, den = (int(context.create_decimal(digits)) for digits in match.groups("1"))
-    return Fraction(num, den)
+    sign, num, den = match.groups("1")
+    value = _from_digits(num)
+    return Fraction(-value if sign else value, _from_digits(den))
 
 
 def _power(base: _T, n: int, one: _T, mul: Callable[[_T, _T], _T] = operator.mul) -> _T:

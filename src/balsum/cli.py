@@ -6,10 +6,10 @@ errors.  JSON output is one document per invocation, big integers as strings.
 Every number is written by `arith._text`, so no output depends on the
 interpreter's int/str digit limit, and the limit is left as the caller set it.
 `gen` writes each row as it is made, by default from the exact decimal walk
-`sequences.decimal_table`; `sequence_table`, in ints, stays its oracle.
-Every library module, and `json`, loads inside the handlers that use it, so
-`--help` and a usage error compile no library code but this module, and `gen`
-and `sum`, with or without `--oracle`, only `arith` and `sequences`.
+`sequences.decimal_table`, the one user of `decimal`; `sequence_table`, in
+ints, stays its oracle.  Every library module, and `json`, loads inside the
+handlers that use it, so `--help` and a usage error compile no library code but
+this module, and `gen` and `sum`, with or without `--oracle`, only `arith` and `sequences`.
 """
 
 from __future__ import annotations

@@ -20,11 +20,15 @@ for it.  All of it is integer work: no Fraction, no ``QuadElem``.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .arith import _alpha_power, _check_at_least, _exact, _exact_context, _power
+from .arith import _alpha_power, _check_at_least, _exact, _power
+
+if TYPE_CHECKING:
+    import decimal
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -182,6 +186,17 @@ def brute_force_power_sum(m: int, l: int, n: int) -> int:
     _check_at_least("l", l, 1)
     _check_at_least("n", n, 0)
     return sum(b**l for b in islice(_recurrence("B"), 0, m * n + 1, m))
+
+
+@cache
+def _exact_context() -> decimal.Context:
+    """Built once and shared; no caller sets it or reads its flags: the largest precision and
+    exponent libmpdec allows, every rounding trapped, so a result that does not fit raises.
+    ``decimal`` is imported here, when the first walk starts, so importing this module loads none."""
+    import decimal
+
+    signals = [decimal.Inexact, decimal.Rounded, decimal.Overflow, decimal.InvalidOperation]
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=signals)
 
 
 def decimal_table(upto: int, seq: str = "B") -> Iterator[str]:

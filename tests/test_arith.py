@@ -9,13 +9,14 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import balsum
 from balsum import sequences
 from balsum import ALPHA, BETA, FOUR_SQRT2, SQRT2, InexactResultError, QuadElem
 from balsum.arith import _exact, _power, _rational, _text
+from conftest import DEFAULT_DIGIT_LIMIT
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 quad_elems = st.builds(QuadElem, small_rationals, small_rationals)
@@ -325,21 +326,49 @@ NUMBERS = {
     "int_5001_digits": -(10**5000) - 1,
     "fraction_4295_over_5001_digits": Fraction(3**9000, 10**5000 + 1),
 }
+# The joins of the writer and reader, which split at 10**(640 * 2**k): a
+# piece of 640 digits, and a half at each side of one, two and four pieces.
+for k in (639, 640, 641, 1279, 1280, 1281, 2560):
+    for d in (-1, 0, 1):
+        NUMBERS[f"10**{k}{d:+}"] = 10**k + d
+        NUMBERS[f"-(10**{k}{d:+})"] = -(10**k + d)
+
+# 640 is the least limit the interpreter allows; the writer and reader hand
+# str and int no piece longer.
+LIMITS = [640, DEFAULT_DIGIT_LIMIT]
 
 
 class TestTextAndRational:
     """The one writer and reader of the library's numbers."""
 
+    @pytest.mark.parametrize("limit", LIMITS)
     @pytest.mark.parametrize("value", NUMBERS.values(), ids=NUMBERS.keys())
-    def test_writer_matches_str(self, value, digit_limit, default_digit_limit):
+    def test_writer_matches_str(self, value, limit, digit_limit):
         with digit_limit(0):
             expected = str(value)
-        assert _text(value) == expected
+        with digit_limit(limit):
+            assert _text(value) == expected
 
+    @pytest.mark.parametrize("limit", LIMITS)
     @pytest.mark.parametrize("value", NUMBERS.values(), ids=NUMBERS.keys())
-    def test_reader_inverts_writer_under_default_limit(self, value, default_digit_limit):
-        read = _rational(_text(value))
+    def test_reader_inverts_writer(self, value, limit, digit_limit):
+        with digit_limit(limit):
+            read = _rational(_text(value))
         assert type(read) is Fraction and read == value
+
+    # digit_limit hands back one context manager, which every example may share.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.integers(0, 60_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)),
+        st.integers(0, 60_000).flatmap(lambda bits: st.integers(1, 2**bits)),
+    )
+    def test_writer_and_reader_at_any_size(self, digit_limit, num, den):
+        for value in (num, Fraction(num, den)):
+            with digit_limit(0):
+                expected = str(value)
+            with digit_limit(640):
+                assert _text(value) == expected
+                assert _rational(expected) == value
 
     def test_writer_and_reader_ignore_the_decimal_context(self):
         value = Fraction(-(10**40) - 1, 7)

@@ -769,7 +769,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect(argv, unloaded):
 
 
 # What an integer request, `sum` or `gen`, loads: the package, its front end,
-# the integer helpers and the sequences; no form code, QuadElem or Fraction.
+# the integer helpers and the sequences; no form code, QuadElem or Fraction,
+# and no Decimal but in the walk of `gen --method recurrence`.
 _INTEGER_LAYER = {"balsum", "balsum.arith", "balsum.cli", "balsum.sequences"}
 
 
@@ -791,26 +792,35 @@ def _loaded_by(argv):
 
 
 def _layers(argv):
-    """The balsum modules, and `fractions` if loaded, that ``argv`` loads."""
-    return {name for name in _loaded_by(argv) if name.split(".")[0] in ("balsum", "fractions")}
+    """The balsum modules, and `fractions` and `decimal` if loaded, that ``argv`` loads."""
+    return {name for name in _loaded_by(argv) if name.split(".")[0] in ("balsum", "fractions", "decimal")}
 
 
 @pytest.mark.parametrize("oracle", [pytest.param([], id="sum"), pytest.param(["--oracle"], id="sum-oracle")])
 def test_sum_loads_no_form_code_without_the_oracle(oracle):
     # `sum` evaluates the Binet sum of `sequences`, and `--oracle` the
-    # brute-force walk beside it: neither loads the forms.
+    # brute-force walk beside it: neither loads the forms, and the answer is
+    # written in ints, so neither loads decimal.
     assert _layers(["sum", "--m", "2", "--power", "5", "--upto", "30", *oracle]) == _INTEGER_LAYER
 
 
-@pytest.mark.parametrize("method", ["recurrence", "fast", "binet"])
-def test_gen_loads_only_the_integer_layer(method):
-    assert _layers(["gen", "--upto", "30", "--method", method]) == _INTEGER_LAYER
+@pytest.mark.parametrize(
+    "method, loaded",
+    [
+        # Only the default method walks in decimal.
+        pytest.param("recurrence", _INTEGER_LAYER | {"decimal"}, id="recurrence"),
+        pytest.param("fast", _INTEGER_LAYER, id="fast"),
+        pytest.param("binet", _INTEGER_LAYER, id="binet"),
+    ],
+)
+def test_gen_loads_only_the_integer_layer(method, loaded):
+    assert _layers(["gen", "--upto", "30", "--method", method]) == loaded
 
 
 # What a symbolic request loads on top of the integer layer: the form code,
-# `fractions`, and for `verify` the proofs; none loads `balsum.field`, since
-# no proof builds an element of Q(sqrt 2).
-_FORMS = _INTEGER_LAYER | {"balsum.linearize", "fractions"}
+# `fractions`, with the `decimal` that it imports, and for `verify` the
+# proofs; none loads `balsum.field`, since no proof builds an element of Q(sqrt 2).
+_FORMS = _INTEGER_LAYER | {"balsum.linearize", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize(

@@ -110,11 +110,12 @@ def check(case):
         assert balsum.power_sum(2, 3, 10) == sum(balsum.balancing(2 * k) ** 3 for k in range(11))
         loaded = {name for name in sys.modules if name.startswith("balsum.")}
         assert loaded == {"balsum.arith", "balsum.sequences"}, loaded
-        assert "fractions" not in sys.modules
+        assert not {"fractions", "decimal"} & set(sys.modules)
     elif case == "quad_elem_alias":
         # arith.QuadElem, which perfbench's tracer patches, is the class of
-        # field, its home; arith loads neither it nor fractions until read.
-        assert "balsum.field" not in sys.modules and "fractions" not in sys.modules
+        # field, its home; arith loads neither it nor fractions until read,
+        # and never decimal.
+        assert not {"balsum.field", "fractions", "decimal"} & set(sys.modules)
         assert balsum.arith.QuadElem is sys.modules["balsum.field"].QuadElem
         assert balsum.arith.QuadElem is balsum.QuadElem
         try:
